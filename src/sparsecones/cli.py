@@ -52,18 +52,24 @@ def _write_json(path, payload) -> None:
         json.dump(payload, fh, indent=1)
 
 
+def _finite(arr, path):
+    if not np.all(np.isfinite(arr)):
+        raise PreconditionError(f"{path}: NaN or infinite entry")
+    return arr
+
+
 def _as_vector(data, path):
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 1:
         raise CliError(f"{path}: expected a flat JSON array (vector)")
-    return arr
+    return _finite(arr, path)
 
 
 def _as_matrix(data, path):
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise CliError(f"{path}: expected a square row-major JSON array of arrays")
-    return arr
+    return _finite(arr, path)
 
 
 def _field(data, key, path):
@@ -80,55 +86,38 @@ _MATRIX_SETS = ("psd-low-rank", "low-rank", "psd")
 
 def _cmd_project(args) -> int:
     data = _load_json(args.input)
-    out: dict
-    if args.set in _VECTOR_SETS:
-        x = _as_vector(data, args.input)
-        if args.set == "nonneg":
-            y = vector_sets.project_nonneg(x)
-            out = {
-                "canonical": y.tolist(),
-                "member_count": 1,
-                "distance": float(np.linalg.norm(x - y)),
-                "boundary_tie": False,
-            }
-        else:
-            if args.s is None:
-                raise CliError("--s is required for sparse sets")
-            fn = (
-                vector_sets.project_sparse_nonneg
-                if args.set == "nonneg-sparse"
-                else vector_sets.project_sparse
-            )
-            res = fn(x, args.s)
-            out = {
-                "canonical": res.canonical.tolist(),
-                "member_count": res.member_count,
-                "distance": res.distance,
-                "boundary_tie": res.member_count > 1,
-            }
-    elif args.set in _MATRIX_SETS:
-        x = _as_matrix(data, args.input)
-        if args.set == "psd":
-            y = matrix_sets.project_psd(x)
-            out = {"canonical": y.tolist(), "member_count": 1,
-                   "distance": float(np.linalg.norm(x - y)), "boundary_tie": False}
-        else:
-            if args.s is None:
-                raise CliError("--s is required for rank-bounded sets")
-            fn = (
-                matrix_sets.project_psd_low_rank
-                if args.set == "psd-low-rank"
-                else matrix_sets.project_low_rank
-            )
-            y = fn(x, args.s)
-            out = {
-                "canonical": y.tolist(),
-                "member_count": 1,
-                "distance": float(np.linalg.norm(np.asarray(x) - y)),
-                "boundary_tie": matrix_sets.boundary_tie(x, args.s),
-            }
-    else:  # pragma: no cover - argparse restricts choices
-        raise CliError(f"unknown set {args.set!r}")
+    vector = args.set in _VECTOR_SETS
+    x = _as_vector(data, args.input) if vector else _as_matrix(data, args.input)
+    member_count, tie = 1, False
+    if args.set == "nonneg":
+        y = vector_sets.project_nonneg(x)
+    elif args.set == "psd":
+        y = matrix_sets.project_psd(x)
+    elif args.s is None:
+        raise CliError(f"--s is required for the {args.set} set")
+    elif vector:
+        fn = (
+            vector_sets.project_sparse_nonneg
+            if args.set == "nonneg-sparse"
+            else vector_sets.project_sparse
+        )
+        res = fn(x, args.s)
+        y, member_count = res.canonical, res.member_count
+        tie = member_count > 1
+    else:
+        fn = (
+            matrix_sets.project_psd_low_rank
+            if args.set == "psd-low-rank"
+            else matrix_sets.project_low_rank
+        )
+        y = fn(x, args.s)
+        tie = matrix_sets.boundary_tie(x, args.s)
+    out = {
+        "canonical": y.tolist(),
+        "member_count": member_count,
+        "distance": float(np.linalg.norm(x - y)),
+        "boundary_tie": tie,
+    }
     _write_json(args.output, out)
     print(f"project {args.set}: wrote {args.output} "
           f"(members={out['member_count']}, distance={out['distance']:.6g})")
@@ -256,12 +245,6 @@ def _start_vector(x_default, args, shape):
     return x0
 
 
-def _run_solver(method, c1, c2, x0, cfg):
-    if method == "dr":
-        return solvers.solve_dr(c1, c2, x0, cfg)
-    return solvers.solve_map(c1, c2, x0, cfg)
-
-
 def _cmd_solve(args) -> int:
     data = _load_json(args.instance)
     cfg = _solve_cfg(args)
@@ -273,7 +256,7 @@ def _cmd_solve(args) -> int:
         c2 = solvers.NonnegSparseSet(s)
         x_default = np.linalg.pinv(a) @ b  # deterministic least-norm start
         x0 = _start_vector(x_default, args, (a.shape[1],))
-        shadow, trace = _run_solver(args.method, c1, c2, x0, cfg)
+        shadow, trace = solvers.solve(c1, c2, x0, args.method, cfg)
         sparse_point = c2.project(shadow)
         result = {
             "status": trace.status,
@@ -357,21 +340,26 @@ def _cmd_edm_complete(args) -> int:
 
 # ------------------------------------------------------------------ bench
 
-def _bench_edm_one(task):
-    seed, points, dim, fraction, method, tol, maxiter = task
-    inst, pts = edm_mod.generate_instance(points, dim, fraction, seed)
-    cfg = solvers.SolveConfig(tol=tol, maxiter=maxiter)
-    shadow, trace = solvers.complete_edm(inst, method=method, cfg=cfg)
+def _bench_row(seed, trace, **extra) -> dict:
     rate = trace.rate
     return {
         "seed": seed,
         "converged": int(trace.status == "converged"),
+        **extra,
         "iterations": trace.iterations,
         "final_residual": float(trace.residuals[-1]),
         "rho": "" if rate is None else rate.rho,
         "r2": "" if rate is None else rate.r2,
         "wall_ms": float(trace.times_ms[-1]),
     }
+
+
+def _bench_edm_one(task):
+    seed, points, dim, fraction, method, tol, maxiter = task
+    inst, pts = edm_mod.generate_instance(points, dim, fraction, seed)
+    cfg = solvers.SolveConfig(tol=tol, maxiter=maxiter)
+    shadow, trace = solvers.complete_edm(inst, method=method, cfg=cfg)
+    return _bench_row(seed, trace)
 
 
 def _bench_sparse_one(task):
@@ -383,27 +371,14 @@ def _bench_sparse_one(task):
     c1 = solvers.AffineSet(a, b)
     c2 = solvers.NonnegSparseSet(s)
     cfg = solvers.SolveConfig(tol=tol, maxiter=maxiter)
-    if method == "dr":
-        shadow, trace = solvers.solve_dr(c1, c2, x0, cfg)
-    else:
-        shadow, trace = solvers.solve_map(c1, c2, x0, cfg)
+    shadow, trace = solvers.solve(c1, c2, x0, method, cfg)
     q = c2.project(shadow)
-    rate = trace.rate
     recovered = int(
         trace.status == "converged"
         and np.linalg.norm(a @ q - b) <= 1e-8
         and vector_sets.sparsity(q) <= s
     )
-    return {
-        "seed": seed,
-        "converged": int(trace.status == "converged"),
-        "recovered": recovered,
-        "iterations": trace.iterations,
-        "final_residual": float(trace.residuals[-1]),
-        "rho": "" if rate is None else rate.rho,
-        "r2": "" if rate is None else rate.r2,
-        "wall_ms": float(trace.times_ms[-1]),
-    }
+    return _bench_row(seed, trace, recovered=recovered)
 
 
 def _cmd_bench(args) -> int:

@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .config import MEMBERSHIP_TOL, zero_cutoff, zero_tol
+from .config import MEMBERSHIP_TOL, zero_cutoff
 from .errors import PreconditionError
 from . import matrix_sets
 from .linalg import check_symmetric, eig_sym, symmetrize
@@ -114,16 +114,6 @@ class PartialEdm:
         return len(self.known_pairs()) / total if total else 1.0
 
 
-def project_known_entries(inst: PartialEdm, x) -> np.ndarray:
-    """Exact projection onto the data constraint: known entries replaced by
-    the data, remaining entries clamped at zero.  The two conditions are
-    separable per entry, so their composition is the exact projection."""
-    x = check_symmetric(x, "X")
-    if x.shape[0] != inst.n_points:
-        raise ValueError("dimension mismatch with the instance")
-    return np.where(inst.known, inst.entries, np.maximum(x, 0.0))
-
-
 def project_embedding_rank_core(n: int, s: int, x) -> np.ndarray:
     """Projection onto matrices whose transformed upper-left block is PSD of
     rank at most ``s``; border entries of the transform pass through."""
@@ -136,11 +126,6 @@ def project_embedding_rank_core(n: int, s: int, x) -> np.ndarray:
     y = y.copy()
     y[: n - 1, : n - 1] = matrix_sets.project_psd_low_rank(block, s)
     return symmetrize(g.apply(y))
-
-
-def project_embedding_rank(inst: PartialEdm, x) -> np.ndarray:
-    """Projection onto the geometry constraint of the instance."""
-    return project_embedding_rank_core(inst.n_points, inst.s, x)
 
 
 class EdmCheck(NamedTuple):
@@ -171,9 +156,7 @@ def is_edm(x) -> EdmCheck:
     block = transformed_block(x)
     lam = eig_sym(block).lam
     psd = bool(lam[-1] >= -MEMBERSHIP_TOL * (1.0 + float(np.linalg.norm(block))))
-    cutoff = zero_tol() * max(1.0, float(np.max(np.abs(lam))) if lam.size else 0.0)
-    embed_dim = int(np.sum(lam > cutoff))
-    return EdmCheck(psd, embed_dim)
+    return EdmCheck(psd, matrix_sets.spectral_rank(np.maximum(lam, 0.0)))
 
 
 def build_edm(points) -> np.ndarray:
@@ -329,8 +312,7 @@ def validate_completion_point(inst: PartialEdm, xbar) -> np.ndarray:
     lam = eig_sym(block).lam
     if lam[-1] < -MEMBERSHIP_TOL * (1.0 + float(np.linalg.norm(block))):
         raise PreconditionError("transformed block of Xbar is not PSD (not an EDM)")
-    cutoff = zero_tol() * max(1.0, float(np.max(np.abs(lam))))
-    rank = int(np.sum(lam > cutoff))
+    rank = matrix_sets.spectral_rank(np.maximum(lam, 0.0))
     if rank != inst.s:
         raise PreconditionError(
             f"transformed block has rank {rank}, expected s = {inst.s}"

@@ -2,7 +2,7 @@
 
 
 class NumericalError(RuntimeError):
-    """An iterative kernel (eigensolver, simplex) failed to converge."""
+    """An iterative kernel (the phase-1 simplex) failed to converge."""
 
 
 class PreconditionError(ValueError):

@@ -1,24 +1,24 @@
 """Dense small-scale linear algebra used throughout the library.
 
-Symmetric eigendecomposition (cyclic threshold Jacobi, deterministic),
-orthonormal subspaces with coordinate-restricted null-space dimensions, and a
-phase-1 simplex kernel that decides whether a subspace contains a nonzero
-nonnegative vector.  Everything here is sized for desk-scale problems
-(dimensions in the low hundreds).
+Symmetric eigendecomposition (LAPACK ``eigh`` under a fixed ordering and
+sign convention), orthonormal subspaces with coordinate-restricted
+null-space dimensions, and a phase-1 simplex kernel that decides whether a
+subspace contains a nonzero nonnegative vector.  Everything here is sized
+for desk-scale problems (dimensions in the low hundreds).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .config import zero_tol
-from .errors import NumericalError
+from .errors import NumericalError, PreconditionError
 
 _SYM_TOL = 1e-12
-_MAX_SWEEPS = 100
 
 
 def symmetrize(x: np.ndarray) -> np.ndarray:
@@ -31,12 +31,15 @@ def check_symmetric(x, name: str = "matrix") -> np.ndarray:
     """Validate that ``x`` is square and symmetric; return a symmetrized copy.
 
     Asymmetry up to roundoff (1e-12 relative) is tolerated and averaged away;
-    anything larger raises ``ValueError``.
+    anything larger raises ``ValueError``.  NaN or infinite entries raise
+    :class:`PreconditionError`.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError(f"{name} must be square, got shape {x.shape}")
     scale = float(np.max(np.abs(x))) if x.size else 0.0
+    if not math.isfinite(scale):
+        raise PreconditionError(f"{name} has a NaN or infinite entry")
     asym = float(np.max(np.abs(x - x.T))) if x.size else 0.0
     if asym > _SYM_TOL * (1.0 + scale):
         raise ValueError(f"{name} is not symmetric (max asymmetry {asym:.3e})")
@@ -63,70 +66,22 @@ class EigenDecomp:
         return symmetrize((self.u.T * self.lam) @ self.u)
 
 
-def eig_sym(x, max_sweeps: int = _MAX_SWEEPS) -> EigenDecomp:
-    """Eigendecomposition of a symmetric matrix by cyclic threshold Jacobi.
-
-    Deterministic for identical input: fixed row-major sweep order and a fixed
-    sign convention.  Raises :class:`NumericalError` if the off-diagonal norm
-    has not vanished after ``max_sweeps`` sweeps.
+def eig_sym(x) -> EigenDecomp:
+    """Eigendecomposition of a symmetric matrix by LAPACK
+    (``numpy.linalg.eigh``) in a fixed normal form: eigenvalues in
+    non-increasing order, exact ties ordered by the index of each
+    eigenvector's first significant component, and that component positive.
+    Identical input gives identical output for a fixed numpy/BLAS build and
+    BLAS thread count.
     """
     a = check_symmetric(x)
-    n = a.shape[0]
-    w = np.eye(n)
-    scale = float(np.linalg.norm(a))
-    target = 1e-14 * max(1.0, scale)
-    off = _offdiag_norm(a)
-    for _ in range(max_sweeps):
-        if off <= target:
-            break
-        # Threshold sweep: only rotate pairs that still carry a meaningful
-        # share of the remaining off-diagonal mass.
-        thresh = off / (n * n)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= thresh:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                wp = w[:, p].copy()
-                wq = w[:, q].copy()
-                w[:, p] = c * wp - s * wq
-                w[:, q] = s * wp + c * wq
-        off = _offdiag_norm(a)
-    else:
-        raise NumericalError(
-            f"jacobi eigensolver did not converge: off-diagonal residual "
-            f"{off:.3e} after {max_sweeps} sweeps"
-        )
-    d = np.diag(a).copy()
-    order = np.argsort(-d, kind="stable")
-    lam = d[order]
-    u = np.ascontiguousarray(w[:, order].T)
-    for i in range(n):
-        nz = np.flatnonzero(np.abs(u[i]) > 1e-12)
-        if nz.size and u[i, nz[0]] < 0.0:
-            u[i] = -u[i]
-    return EigenDecomp(u=u, lam=lam)
-
-
-def _offdiag_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a - np.diag(np.diag(a))))
+    lam, w = np.linalg.eigh(a)
+    u = w.T
+    rows = np.arange(lam.size)
+    lead = np.argmax(np.abs(u) > 1e-12, axis=1) if lam.size else rows
+    u = u * np.where(u[rows, lead] < 0.0, -1.0, 1.0)[:, None]
+    order = np.lexsort((lead, -lam))
+    return EigenDecomp(u=u[order], lam=lam[order])
 
 
 def hadamard(x, y) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Spectral lifting of the vector results to symmetric matrices.
 
 Projections onto PSD matrices of bounded rank (and the sign-free low-rank
-set), plus normal-cone membership tests.  All operations eigendecompose with
-the deterministic Jacobi solver and act on the eigenvalue vector exactly the
-way the vector module acts on entries.
+set), plus normal-cone membership tests.  Every projection is one
+eigendecomposition followed by the vector module's routine on the
+eigenvalue vector: the spectrum is sorted, so the vector routine keeps the
+same entries it would keep on a diagonal matrix.
 """
 
 from __future__ import annotations
@@ -13,27 +14,17 @@ from typing import Optional
 
 import numpy as np
 
+from . import vector_sets
 from .config import MEMBERSHIP_TOL, zero_tol
 from .errors import PreconditionError
 from .linalg import check_symmetric, eig_sym, symmetrize
 
 
-def _rank_cutoff(lam: np.ndarray) -> float:
+def spectral_rank(lam) -> int:
+    """Number of eigenvalues that are nonzero under the global zero
+    tolerance, relative to the largest magnitude in ``lam``."""
     scale = float(np.max(np.abs(lam))) if lam.size else 0.0
-    return zero_tol() * max(1.0, scale)
-
-
-def rank_sym(x) -> int:
-    """Rank of a symmetric matrix under the global eigenvalue tolerance."""
-    lam = eig_sym(x).lam
-    return int(np.sum(np.abs(lam) > _rank_cutoff(lam)))
-
-
-def is_psd(x) -> bool:
-    """PSD test: smallest eigenvalue above -1e-9 * (1 + norm)."""
-    x = check_symmetric(x)
-    lam = eig_sym(x).lam
-    return bool(lam[-1] >= -MEMBERSHIP_TOL * (1.0 + float(np.linalg.norm(x))))
+    return int(np.sum(np.abs(lam) > zero_tol() * max(1.0, scale)))
 
 
 def validate_psd_low_rank(x, s: int, name: str = "Xbar") -> tuple:
@@ -46,17 +37,24 @@ def validate_psd_low_rank(x, s: int, name: str = "Xbar") -> tuple:
     dec = eig_sym(x)
     if dec.lam[-1] < -MEMBERSHIP_TOL * (1.0 + float(np.linalg.norm(x))):
         raise PreconditionError(f"{name} is not positive semidefinite")
-    r = int(np.sum(np.abs(dec.lam) > _rank_cutoff(dec.lam)))
+    r = spectral_rank(dec.lam)
     if r > s:
         raise PreconditionError(f"{name} has rank {r} > s = {s}")
     return x, dec
 
 
+def _spectral_lift(x, vector_op) -> np.ndarray:
+    """Apply a vector projection to the (non-increasing) spectrum of ``x``
+    and reassemble with the same eigenvectors."""
+    x = check_symmetric(x)
+    dec = eig_sym(x)
+    lam = vector_op(dec.lam)
+    return symmetrize((dec.u.T * lam) @ dec.u)
+
+
 def project_psd(x) -> np.ndarray:
     """Projection onto positive semidefinite matrices (clamp eigenvalues)."""
-    dec = eig_sym(x)
-    lam = np.maximum(dec.lam, 0.0)
-    return symmetrize((dec.u.T * lam) @ dec.u)
+    return _spectral_lift(x, vector_sets.project_nonneg)
 
 
 def project_psd_low_rank(x, s: int) -> np.ndarray:
@@ -67,31 +65,16 @@ def project_psd_low_rank(x, s: int) -> np.ndarray:
     returns the member produced by the deterministic eigensolver.  Use
     :func:`boundary_tie` to detect the degenerate case.
     """
-    x = check_symmetric(x)
-    m = x.shape[0]
-    s = int(s)
-    if not 0 <= s <= m:
-        raise ValueError(f"s={s} out of range [0, {m}]")
-    dec = eig_sym(x)
-    lam = np.zeros(m)
-    lam[:s] = np.maximum(dec.lam[:s], 0.0)
-    return symmetrize((dec.u.T * lam) @ dec.u)
+    return _spectral_lift(x, lambda lam: vector_sets.top_s_nonneg(lam, s))
 
 
 def project_low_rank(x, s: int) -> np.ndarray:
     """Canonical projection onto symmetric matrices of rank at most ``s``:
     keep the ``s`` eigenvalues largest in magnitude (ties broken by
     eigenvalue order)."""
-    x = check_symmetric(x)
-    m = x.shape[0]
-    s = int(s)
-    if not 0 <= s <= m:
-        raise ValueError(f"s={s} out of range [0, {m}]")
-    dec = eig_sym(x)
-    keep = np.argsort(-np.abs(dec.lam), kind="stable")[:s]
-    lam = np.zeros(m)
-    lam[keep] = dec.lam[keep]
-    return symmetrize((dec.u.T * lam) @ dec.u)
+    return _spectral_lift(
+        x, lambda lam: vector_sets.project_sparse(lam, s).canonical
+    )
 
 
 def boundary_tie(x, s: int) -> bool:
@@ -145,7 +128,7 @@ def normal_cone_contains(xbar, y, s: int) -> MatrixConeReport:
             False, "none", residual, dec.lam, "Xbar @ Y is not zero"
         )
     nsd = bool(dec.lam[0] <= MEMBERSHIP_TOL * (1.0 + norm_y))
-    rank_y = int(np.sum(np.abs(dec.lam) > _rank_cutoff(dec.lam)))
+    rank_y = spectral_rank(dec.lam)
     low_rank = rank_y <= m - s
     if nsd and low_rank:
         return MatrixConeReport(True, "both", residual, dec.lam)
@@ -171,7 +154,7 @@ def low_rank_normal_cone_contains(xbar, y, s: int) -> bool:
     if y.shape != xbar.shape:
         raise ValueError("Xbar and Y must have the same dimension")
     s = int(s)
-    r = rank_sym(xbar)
+    r = spectral_rank(eig_sym(xbar).lam)
     if r != s:
         raise PreconditionError(
             f"Xbar has rank {r} != s = {s}; the normal-cone formula requires "
@@ -193,7 +176,7 @@ def prox_normal_cone_contains(xbar, y, s: int) -> bool:
     y = check_symmetric(y, "Y")
     if y.shape != xbar.shape:
         raise ValueError("Xbar and Y must have the same dimension")
-    r = int(np.sum(np.abs(dec.lam) > _rank_cutoff(dec.lam)))
+    r = spectral_rank(dec.lam)
     residual = float(np.linalg.norm(xbar @ y))
     comp = residual <= MEMBERSHIP_TOL * (
         1.0 + float(np.linalg.norm(xbar)) * float(np.linalg.norm(y))

@@ -278,7 +278,7 @@ def _falsify_matrix_branch(kernel, m, s, rng_seed, n_starts, n_steps):
         lam = eig_sym(y).lam
         if lam[-1] >= -tol:
             return y, "a PSD kernel basis element"
-        if rank_cap > 0 and int(np.sum(np.abs(lam) > zero_tol() * max(1.0, abs(lam).max()))) <= rank_cap:
+        if rank_cap > 0 and matrix_sets.spectral_rank(lam) <= rank_cap:
             return y, "a low-rank kernel basis element"
     for start in range(int(n_starts)):
         c = rng.standard_normal(k)
@@ -306,8 +306,7 @@ def _falsify_matrix_branch(kernel, m, s, rng_seed, n_starts, n_steps):
                 if use_psd and lam[-1] >= -tol:
                     return y, f"alternating PSD search (start {start})"
                 if not use_psd and rank_cap > 0:
-                    r = int(np.sum(np.abs(lam) > zero_tol() * max(1.0, abs(lam).max())))
-                    if r <= rank_cap:
+                    if matrix_sets.spectral_rank(lam) <= rank_cap:
                         return y, f"alternating low-rank search (start {start})"
                 break
             if float(np.linalg.norm(y_new - y)) < 1e-14:

@@ -3,7 +3,8 @@
 Douglas-Rachford (averaged double reflections) and alternating projections,
 with per-iteration traces, stall detection and an R-linear rate fit.  The
 iteration is made single-valued by always selecting canonical projections,
-so identical inputs yield bitwise-identical traces on one platform.
+so identical inputs yield bitwise-identical traces on one machine with one
+numpy/BLAS build and BLAS thread count.
 """
 
 from __future__ import annotations
@@ -254,18 +255,27 @@ def _attach_rate(trace: SolveTrace) -> None:
         trace.rate = None
 
 
-def _stalled(steps: list, window: int, x_scale: float) -> bool:
-    """Progress test on the fixed-point residual (step norms): stalled when
-    the iterate is numerically fixed, or when the best step over the last
-    window failed to improve by factor 0.999 on the window before it.
-    Windowed minima absorb the small plateaus slowly-converging runs show."""
-    if steps and steps[-1] <= 1e-16 * (1.0 + x_scale):
+def _stalled(steps: list, window: int, x, anchor) -> bool:
+    """Progress test on the fixed-point residual (step norms).
+
+    Stalled when the iterate is numerically fixed, or, checked once per
+    window of ``window`` steps, when the best step over the last window
+    failed to improve by factor 0.999 on the window before it and the
+    iterate did not drift: a window whose net displacement (from ``anchor``,
+    the iterate at its start, to ``x``) is at least half its path length is
+    steady motion and counts as progress even at a constant step norm.
+    Windowed minima absorb the small plateaus slowly-converging runs show.
+    """
+    if steps and steps[-1] <= 1e-16 * (1.0 + float(np.linalg.norm(x))):
         return True
-    if len(steps) < 2 * window:
+    n = len(steps)
+    if n < 2 * window or n % window:
         return False
     recent = min(steps[-window:])
     previous = min(steps[-2 * window : -window])
-    return recent > 0.999 * previous
+    if recent <= 0.999 * previous:
+        return False
+    return float(np.linalg.norm(x - anchor)) < 0.5 * sum(steps[-window:])
 
 
 def solve_dr(c1: ConstraintSet, c2: ConstraintSet, x0, cfg: SolveConfig | None = None):
@@ -282,6 +292,7 @@ def solve_dr(c1: ConstraintSet, c2: ConstraintSet, x0, cfg: SolveConfig | None =
     times: list = []
     ties = 0
     status = "maxiter"
+    anchor = x
     t0 = time.perf_counter()
     shadow = None
     for _ in range(cfg.maxiter):
@@ -301,9 +312,11 @@ def solve_dr(c1: ConstraintSet, c2: ConstraintSet, x0, cfg: SolveConfig | None =
         x_next = x + q_refl - p
         steps.append(float(np.linalg.norm(x_next - x)))
         x = x_next
-        if _stalled(steps, cfg.stall_window, float(np.linalg.norm(x))):
+        if _stalled(steps, cfg.stall_window, x, anchor):
             status = "stalled"
             break
+        if len(steps) % cfg.stall_window == 0:
+            anchor = x
     else:
         # cap reached without break; shadow of the final iterate
         shadow = c1.project(x)
@@ -328,6 +341,7 @@ def solve_map(c1: ConstraintSet, c2: ConstraintSet, x0, cfg: SolveConfig | None 
     steps: list = []
     times: list = []
     status = "maxiter"
+    anchor = x
     t0 = time.perf_counter()
     shadow = None
     for n in range(cfg.maxiter):
@@ -346,9 +360,11 @@ def solve_map(c1: ConstraintSet, c2: ConstraintSet, x0, cfg: SolveConfig | None 
         x_next = c1.project(c2.project(x) if n == 0 else q)
         steps.append(float(np.linalg.norm(x_next - x)))
         x = x_next
-        if _stalled(steps, cfg.stall_window, float(np.linalg.norm(x))):
+        if _stalled(steps, cfg.stall_window, x, anchor):
             status = "stalled"
             break
+        if len(steps) % cfg.stall_window == 0:
+            anchor = x
     else:
         shadow = c1.project(x)
     trace = SolveTrace(
@@ -360,6 +376,17 @@ def solve_map(c1: ConstraintSet, c2: ConstraintSet, x0, cfg: SolveConfig | None 
     )
     _attach_rate(trace)
     return shadow, trace
+
+
+def solve(c1: ConstraintSet, c2: ConstraintSet, x0, method: str = "dr",
+          cfg: SolveConfig | None = None):
+    """Run :func:`solve_dr` (``method="dr"``) or :func:`solve_map`
+    (``method="map"``) and return its ``(shadow, trace)``."""
+    if method == "dr":
+        return solve_dr(c1, c2, x0, cfg)
+    if method == "map":
+        return solve_map(c1, c2, x0, cfg)
+    raise ValueError(f"unknown method {method!r}")
 
 
 def complete_edm(
@@ -381,11 +408,7 @@ def complete_edm(
         x0 = inst.entries
     if cfg is None:
         cfg = SolveConfig(tol=1e-10, maxiter=100_000)
-    if method == "dr":
-        return solve_dr(c1, c2, x0, cfg)
-    if method == "map":
-        return solve_map(c1, c2, x0, cfg)
-    raise ValueError(f"unknown method {method!r}")
+    return solve(c1, c2, x0, method, cfg)
 
 
 def plant_sparse_instance(m: int, s: int, p: int, rng_seed: int):

@@ -10,7 +10,7 @@ nonpositive or supported on at most ``m - s`` coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb
 from typing import Optional
@@ -111,28 +111,8 @@ def project_sparse_nonneg(x, s: int, member_cap: int = MEMBER_CAP) -> Projection
     index set under (value descending, index ascending) order.
     """
     x = _as_vector(x)
-    m = x.size
-    s = _require_s(s, m)
-    xp = np.maximum(x, 0.0)
-    if s == 0:
-        y = np.zeros(m)
-        return ProjectionResult((y,), y, float(np.linalg.norm(x)), 1)
-    order = np.argsort(-xp, kind="stable")
-    threshold = xp[order[s - 1]]
-    if threshold == 0.0:
-        # fewer than s positive entries: the unique member keeps them all
-        y = xp.copy()
-        return ProjectionResult((y,), y, float(np.linalg.norm(x - y)), 1)
-    above = np.flatnonzero(xp > threshold)
-    tied = np.flatnonzero(xp == threshold)
-    slots = s - above.size
-    members, total = _enumerate_members(xp, above, tied.tolist(), slots, member_cap)
-    canonical = np.zeros(m)
-    canonical[order[:s]] = xp[order[:s]]
-    if members is None:
-        members = (canonical,)
-    distance = float(np.linalg.norm(x - canonical))
-    return ProjectionResult(members, canonical, distance, total)
+    res = project_sparse(np.maximum(x, 0.0), s, member_cap)
+    return replace(res, distance=float(np.linalg.norm(x - res.canonical)))
 
 
 def project_sparse(x, s: int, member_cap: int = MEMBER_CAP) -> ProjectionResult:

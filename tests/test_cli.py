@@ -53,6 +53,18 @@ class TestProject:
         assert rc == 2
         assert "line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, payload", [
+        ("nonneg", "[NaN, 1.0]"),
+        ("psd", "[[1.0, Infinity], [Infinity, 0.0]]"),
+    ], ids=["nan-vector", "inf-matrix"])
+    def test_non_finite_input_exit_code(self, tmp_path, capsys, kind, payload):
+        p = tmp_path / "bad.json"
+        p.write_text(payload)
+        rc = cli.main(["project", "--input", str(p), "--set", kind,
+                       "--output", str(tmp_path / "o.json")])
+        assert rc == 2
+        assert "NaN or infinite" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path):
         rc = cli.main(["project", "--input", str(tmp_path / "none.json"),
                        "--set", "nonneg", "--output", str(tmp_path / "o.json")])

@@ -6,6 +6,7 @@ import pytest
 from sparsecones import edm
 from sparsecones.errors import PreconditionError
 from sparsecones.linalg import symmetrize
+from sparsecones.solvers import EmbeddingRankSet, FixedEntriesNonnegSet
 
 from conftest import random_symmetric
 
@@ -154,7 +155,7 @@ class TestPartialEdm:
         inst, pts = edm.generate_instance(5, 2, 1.0, 4)
         d = edm.build_edm(pts)
         x = random_symmetric(rng, 5)
-        assert np.allclose(edm.project_known_entries(inst, x), d)
+        assert np.allclose(FixedEntriesNonnegSet.from_partial_edm(inst).project(x), d)
 
     def test_serialization_round_trip(self, tmp_path):
         inst, pts = edm.generate_instance(6, 2, 0.6, 9)
@@ -175,38 +176,38 @@ class TestProjections:
     def test_known_entries_projection(self, rng):
         inst, pts = edm.generate_instance(5, 2, 0.5, 11)
         x = random_symmetric(rng, 5)
-        p = edm.project_known_entries(inst, x)
+        p = FixedEntriesNonnegSet.from_partial_edm(inst).project(x)
         assert np.allclose(p[inst.known], inst.entries[inst.known])
         assert np.min(p) >= 0.0
-        assert np.allclose(edm.project_known_entries(inst, p), p)
+        assert np.allclose(FixedEntriesNonnegSet.from_partial_edm(inst).project(p), p)
 
     def test_known_entries_clamp_example(self):
         inst = edm.PartialEdm(3, np.zeros((3, 3)), np.eye(3, dtype=bool), 1)
         x = -np.ones((3, 3))
         np.fill_diagonal(x, -1.0)
-        assert np.allclose(edm.project_known_entries(inst, x), 0.0)
+        assert np.allclose(FixedEntriesNonnegSet.from_partial_edm(inst).project(x), 0.0)
 
     def test_embedding_projection_fixed_point(self, rng):
         inst, pts = edm.generate_instance(6, 2, 0.7, 5)
         d = edm.build_edm(pts)
-        assert np.linalg.norm(edm.project_embedding_rank(inst, d) - d) <= 1e-9
+        assert np.linalg.norm(EmbeddingRankSet.from_partial_edm(inst).project(d) - d) <= 1e-9
 
     def test_embedding_projection_idempotent(self, rng):
         inst, _ = edm.generate_instance(5, 2, 0.7, 6)
         x = random_symmetric(rng, 5)
-        p = edm.project_embedding_rank(inst, x)
-        assert np.linalg.norm(edm.project_embedding_rank(inst, p) - p) <= 1e-9
+        p = EmbeddingRankSet.from_partial_edm(inst).project(x)
+        assert np.linalg.norm(EmbeddingRankSet.from_partial_edm(inst).project(p) - p) <= 1e-9
 
     def test_projection_optimality_sampled(self, rng):
         # projections never beaten by sampled members of their own set
         inst, pts = edm.generate_instance(5, 2, 0.6, 8)
         x = random_symmetric(rng, 5)
-        p1 = edm.project_known_entries(inst, x)
+        p1 = FixedEntriesNonnegSet.from_partial_edm(inst).project(x)
         d1 = np.linalg.norm(x - p1)
         for _ in range(300):
             z = np.where(inst.known, inst.entries, np.abs(random_symmetric(rng, 5)))
             assert d1 <= np.linalg.norm(x - z) + 1e-9
-        p2 = edm.project_embedding_rank(inst, x)
+        p2 = EmbeddingRankSet.from_partial_edm(inst).project(x)
         d2 = np.linalg.norm(x - p2)
         g = edm.householder_map(5)
         for _ in range(300):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sparsecones import linalg
-from sparsecones.errors import NumericalError
+from sparsecones.errors import PreconditionError
 
 from conftest import random_symmetric
 from oracles import nonneg_direction_exists_lp
@@ -53,10 +53,11 @@ class TestEigSym:
         with pytest.raises(ValueError):
             linalg.eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    def test_nonconvergence_reported(self, rng):
-        x = random_symmetric(rng, 8)
-        with pytest.raises(NumericalError, match="residual"):
-            linalg.eig_sym(x, max_sweeps=0)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        x = np.array([[bad, 1.0], [1.0, 0.0]])
+        with pytest.raises(PreconditionError, match="NaN or infinite"):
+            linalg.eig_sym(x)
 
     def test_fan_inequality(self, rng):
         # matrix distance dominates eigenvalue distance

@@ -104,6 +104,11 @@ class TestProjections:
         with pytest.raises(ValueError):
             ms.project_psd_low_rank(np.eye(2), 3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(PreconditionError, match="NaN or infinite"):
+            ms.project_psd_low_rank(np.array([[bad, 1.0], [1.0, 0.0]]), 1)
+
 
 class TestNormalCone:
     def test_branch_examples(self):
@@ -118,6 +123,14 @@ class TestNormalCone:
     def test_rejects_xbar_outside(self):
         with pytest.raises(PreconditionError):
             ms.normal_cone_contains(np.diag([1.0, 1.0]), np.zeros((2, 2)), 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        xbar = np.diag([1.0, 0.0])
+        with pytest.raises(PreconditionError, match="NaN or infinite"):
+            ms.normal_cone_contains(xbar, np.diag([0.0, bad]), 1)
+        with pytest.raises(PreconditionError, match="NaN or infinite"):
+            ms.normal_cone_contains(np.diag([1.0, bad]), np.zeros((2, 2)), 1)
         with pytest.raises(PreconditionError):
             ms.normal_cone_contains(np.diag([-1.0, 0.0]), np.zeros((2, 2)), 1)
 

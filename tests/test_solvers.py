@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,9 +18,12 @@ from sparsecones.solvers import (
     reflect,
     solve_dr,
     solve_map,
+    _stalled,
 )
 
 from conftest import random_symmetric
+
+DATA = Path(__file__).parent / "data"
 
 
 def make_trace(residuals, steps=None):
@@ -143,6 +148,16 @@ class TestSolveDr:
         assert np.array_equal(t1.residuals, t2.residuals)
         assert np.array_equal(t1.step_norms, t2.step_norms)
 
+    def test_deterministic_completion_traces(self):
+        # the eigensolver is on this path, unlike the sparse pair above
+        inst, _ = edm.generate_instance(8, 2, 0.85, rng_seed=0)
+        s1, t1 = solvers.complete_edm(inst)
+        s2, t2 = solvers.complete_edm(inst)
+        assert t1.status == "converged"
+        assert np.array_equal(s1, s2)
+        assert np.array_equal(t1.residuals, t2.residuals)
+        assert np.array_equal(t1.step_norms, t2.step_norms)
+
     def test_converged_invariant(self, rng):
         c1 = AffineSet([[1.0, 0.0]], [0.0])
         c2 = AffineSet([[0.0, 1.0]], [0.0])
@@ -158,6 +173,28 @@ class TestSolveDr:
             SolveConfig(maxiter=0)
         with pytest.raises(ValueError):
             SolveConfig(stall_window=0)
+
+
+class TestStallRule:
+    def test_plateau_without_drift_stalls(self):
+        x = np.ones(3)
+        steps = [1e-3] * 400
+        assert _stalled(steps, 200, x, x)
+        assert not _stalled(steps[:399], 200, x, x)  # only at window ends
+
+    def test_steady_drift_is_progress(self):
+        # 200 equal steps along one line move the iterate 200 step lengths
+        steps = [1e-3] * 400
+        assert not _stalled(steps, 200, np.array([0.2, 0.0]), np.zeros(2))
+
+    @pytest.mark.parametrize("name", ["edm_drift_seed5_k268", "edm_drift_seed9_k556"])
+    def test_drifting_completion_converges(self, name):
+        # the shadow stays frozen for thousands of steps while the iterate
+        # moves along a line at constant step norm; DR converges afterwards
+        inst, _, _ = edm.load_instance(DATA / f"{name}.json")
+        cfg = SolveConfig(tol=1e-10, maxiter=20_000, stall_window=1000)
+        _, tr = solvers.complete_edm(inst, cfg=cfg)
+        assert tr.status == "converged"
 
 
 class TestSolveMap:
