@@ -105,13 +105,15 @@ def _cmd_project(args) -> int:
         y, member_count = res.canonical, res.member_count
         tie = member_count > 1
     else:
-        fn = (
-            matrix_sets.project_psd_low_rank
+        fn, tie_fn = (
+            (matrix_sets.project_psd_low_rank, matrix_sets.boundary_tie)
             if args.set == "psd-low-rank"
-            else matrix_sets.project_low_rank
+            else (matrix_sets.project_low_rank, matrix_sets.low_rank_tie)
         )
         y = fn(x, args.s)
-        tie = matrix_sets.boundary_tie(x, args.s)
+        tie = tie_fn(x, args.s)
+        # a tie at the cut makes the projection a continuum of members
+        member_count = None if tie else 1
     out = {
         "canonical": y.tolist(),
         "member_count": member_count,
@@ -305,10 +307,9 @@ def _cmd_edm_generate(args) -> int:
 def _cmd_edm_complete(args) -> int:
     data = _load_json(args.instance)
     inst, _, ground_truth = edm_mod.instance_from_json(data)
-    cfg = solvers.SolveConfig(
-        tol=args.tol, maxiter=args.maxiter, stall_window=args.stall_window
+    shadow, trace = solvers.complete_edm(
+        inst, method=args.method, cfg=_solve_cfg(args)
     )
-    shadow, trace = solvers.complete_edm(inst, method=args.method, cfg=cfg)
     result = {
         "status": trace.status,
         "completed_matrix": shadow.tolist(),

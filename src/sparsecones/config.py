@@ -1,10 +1,14 @@
 """Global numerical tolerances.
 
 A single zero tolerance governs every support / rank / sparsity decision in
-the library: an entry (or eigenvalue) of magnitude at most
+the library, through two rules.  Supports: an entry of magnitude at most
 ``zero_tol() * (1 + scale)`` counts as zero, where ``scale`` is the max-norm
-of the containing vector or matrix.  The default can be overridden with the
-``SPARSECONES_ZERO_TOL`` environment variable or :func:`set_zero_tol`.
+of the containing vector or matrix (:func:`zero_cutoff`).  Ranks: an
+eigenvalue or singular value of magnitude at most
+``zero_tol() * max(1, scale)`` counts as zero, where ``scale`` is the largest
+magnitude (``linalg.numerical_rank``).  The default can be overridden with
+the ``SPARSECONES_ZERO_TOL`` environment variable or :func:`set_zero_tol`,
+which changes process-global state.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ import numpy as np
 from .config import MEMBERSHIP_TOL, zero_cutoff
 from .errors import PreconditionError
 from . import matrix_sets
-from .linalg import check_symmetric, eig_sym, symmetrize
+from .linalg import check_symmetric, eig_sym, numerical_rank, symmetrize
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,6 @@ def project_embedding_rank_core(n: int, s: int, x) -> np.ndarray:
     g = householder_map(n)
     y = g.apply(x)
     block = symmetrize(y[: n - 1, : n - 1])
-    y = y.copy()
     y[: n - 1, : n - 1] = matrix_sets.project_psd_low_rank(block, s)
     return symmetrize(g.apply(y))
 
@@ -156,7 +155,7 @@ def is_edm(x) -> EdmCheck:
     block = transformed_block(x)
     lam = eig_sym(block).lam
     psd = bool(lam[-1] >= -MEMBERSHIP_TOL * (1.0 + float(np.linalg.norm(block))))
-    return EdmCheck(psd, matrix_sets.spectral_rank(np.maximum(lam, 0.0)))
+    return EdmCheck(psd, numerical_rank(np.maximum(lam, 0.0)))
 
 
 def build_edm(points) -> np.ndarray:
@@ -312,7 +311,7 @@ def validate_completion_point(inst: PartialEdm, xbar) -> np.ndarray:
     lam = eig_sym(block).lam
     if lam[-1] < -MEMBERSHIP_TOL * (1.0 + float(np.linalg.norm(block))):
         raise PreconditionError("transformed block of Xbar is not PSD (not an EDM)")
-    rank = matrix_sets.spectral_rank(np.maximum(lam, 0.0))
+    rank = numerical_rank(np.maximum(lam, 0.0))
     if rank != inst.s:
         raise PreconditionError(
             f"transformed block has rank {rank}, expected s = {inst.s}"

@@ -1,10 +1,11 @@
 """Dense small-scale linear algebra used throughout the library.
 
 Symmetric eigendecomposition (LAPACK ``eigh`` under a fixed ordering and
-sign convention), orthonormal subspaces with coordinate-restricted
-null-space dimensions, and a phase-1 simplex kernel that decides whether a
-subspace contains a nonzero nonnegative vector.  Everything here is sized
-for desk-scale problems (dimensions in the low hundreds).
+sign convention), the numerical rank rule and the null spaces it defines,
+orthonormal subspaces with coordinate-restricted null spaces, and a phase-1
+simplex kernel that decides whether a subspace contains a nonzero
+nonnegative vector.  Everything here is sized for desk-scale problems
+(dimensions in the low hundreds).
 """
 
 from __future__ import annotations
@@ -84,19 +85,20 @@ def eig_sym(x) -> EigenDecomp:
     return EigenDecomp(u=u[order], lam=lam[order])
 
 
-def hadamard(x, y) -> np.ndarray:
-    """Entrywise product of two vectors of equal length."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
-    return x * y
+def numerical_rank(values) -> int:
+    """Number of entries of ``values`` (eigenvalues or singular values) of
+    magnitude above ``zero_tol() * max(1, largest magnitude)``: the one rank
+    rule of the library."""
+    mag = np.abs(values)
+    scale = float(mag.max()) if mag.size else 0.0
+    return int(np.count_nonzero(mag > zero_tol() * max(1.0, scale)))
 
 
-def sort_desc(x) -> np.ndarray:
-    """Entries of ``x`` permuted into non-increasing order."""
-    x = np.asarray(x, dtype=float)
-    return -np.sort(-x)
+def null_space(a) -> np.ndarray:
+    """Orthonormal basis rows of the null space of ``a``, from a full SVD
+    whose rank is :func:`numerical_rank` of the singular values."""
+    _, sv, vt = np.linalg.svd(a, full_matrices=True)
+    return vt[numerical_rank(sv):]
 
 
 @dataclass(frozen=True)
@@ -110,17 +112,14 @@ class Subspace:
     def span(cls, vectors) -> "Subspace":
         """Subspace spanned by the given vectors (rows), orthonormalized.
 
-        Directions with singular value at most ``zero_tol * max(1, sigma_1)``
-        are dropped.
+        Directions that :func:`numerical_rank` counts as zero are dropped.
         """
         va = np.atleast_2d(np.asarray(vectors, dtype=float))
         n = va.shape[1]
         if va.size == 0 or not np.any(va):
             return cls(ambient_dim=n, basis=np.zeros((0, n)))
         _, sv, vt = np.linalg.svd(va, full_matrices=False)
-        cutoff = zero_tol() * max(1.0, float(sv[0]))
-        r = int(np.sum(sv > cutoff))
-        return cls(ambient_dim=n, basis=vt[:r].copy())
+        return cls(ambient_dim=n, basis=vt[: numerical_rank(sv)].copy())
 
     @property
     def dim(self) -> int:
@@ -152,15 +151,8 @@ def null_intersection_basis(v: Subspace, coords: Iterable[int]) -> np.ndarray:
         return v.basis.copy()
     m = v.basis[:, complement]  # k x |complement|; need c with c @ m = 0
     u, sv, _ = np.linalg.svd(m, full_matrices=True)
-    cutoff = zero_tol() * max(1.0, float(sv[0]) if sv.size else 0.0)
-    r = int(np.sum(sv > cutoff))
-    c = u[:, r:].T  # (k - r) x k, orthonormal coefficient rows
+    c = u[:, numerical_rank(sv):].T  # orthonormal coefficient rows
     return c @ v.basis
-
-
-def null_intersection_dim(v: Subspace, coords: Iterable[int]) -> int:
-    """Dimension of ``v`` intersected with ``{y : y_j = 0 off coords}``."""
-    return null_intersection_basis(v, coords).shape[0]
 
 
 def lp_cone_point(
@@ -204,14 +196,6 @@ def lp_cone_point(
     y = np.zeros(n)
     y[free] = x[:f]
     return y
-
-
-def lp_cone_nontrivial(
-    v: Subspace, zero_coords: Iterable[int] = (), feas_tol: float = 1e-9
-) -> bool:
-    """True iff ``v`` contains a nonzero nonnegative vector vanishing on
-    ``zero_coords`` (normalized so its entries sum to 1)."""
-    return lp_cone_point(v, zero_coords, feas_tol=feas_tol) is not None
 
 
 def _phase1_simplex(a_eq, b_eq, feas_tol: float = 1e-9, maxiter: int | None = None):

@@ -15,16 +15,9 @@ from typing import Optional
 import numpy as np
 
 from . import vector_sets
-from .config import MEMBERSHIP_TOL, zero_tol
+from .config import MEMBERSHIP_TOL
 from .errors import PreconditionError
-from .linalg import check_symmetric, eig_sym, symmetrize
-
-
-def spectral_rank(lam) -> int:
-    """Number of eigenvalues that are nonzero under the global zero
-    tolerance, relative to the largest magnitude in ``lam``."""
-    scale = float(np.max(np.abs(lam))) if lam.size else 0.0
-    return int(np.sum(np.abs(lam) > zero_tol() * max(1.0, scale)))
+from .linalg import check_symmetric, eig_sym, numerical_rank, symmetrize
 
 
 def validate_psd_low_rank(x, s: int, name: str = "Xbar") -> tuple:
@@ -37,7 +30,7 @@ def validate_psd_low_rank(x, s: int, name: str = "Xbar") -> tuple:
     dec = eig_sym(x)
     if dec.lam[-1] < -MEMBERSHIP_TOL * (1.0 + float(np.linalg.norm(x))):
         raise PreconditionError(f"{name} is not positive semidefinite")
-    r = spectral_rank(dec.lam)
+    r = numerical_rank(dec.lam)
     if r > s:
         raise PreconditionError(f"{name} has rank {r} > s = {s}")
     return x, dec
@@ -46,7 +39,6 @@ def validate_psd_low_rank(x, s: int, name: str = "Xbar") -> tuple:
 def _spectral_lift(x, vector_op) -> np.ndarray:
     """Apply a vector projection to the (non-increasing) spectrum of ``x``
     and reassemble with the same eigenvectors."""
-    x = check_symmetric(x)
     dec = eig_sym(x)
     lam = vector_op(dec.lam)
     return symmetrize((dec.u.T * lam) @ dec.u)
@@ -77,18 +69,30 @@ def project_low_rank(x, s: int) -> np.ndarray:
     )
 
 
-def boundary_tie(x, s: int) -> bool:
-    """True when the clamped eigenvalues at positions ``s`` and ``s + 1``
-    coincide within tolerance and are positive, i.e. the rank-``s``
-    projection is set-valued at ``x``."""
+def _cut_tie(x, s: int, spectrum_op) -> bool:
+    """True when the non-increasing values ``spectrum_op(lam)`` at positions
+    ``s`` and ``s + 1`` coincide within tolerance and are positive."""
     x = check_symmetric(x)
     m = x.shape[0]
     s = int(s)
     if s <= 0 or s >= m:
         return False
-    lam = np.maximum(eig_sym(x).lam, 0.0)
+    values = spectrum_op(eig_sym(x).lam)
     tol = MEMBERSHIP_TOL * (1.0 + float(np.linalg.norm(x)))
-    return bool(lam[s - 1] > tol and lam[s - 1] - lam[s] <= tol)
+    return bool(values[s - 1] > tol and values[s - 1] - values[s] <= tol)
+
+
+def boundary_tie(x, s: int) -> bool:
+    """True when the clamped eigenvalues at positions ``s`` and ``s + 1``
+    coincide within tolerance and are positive, i.e. the PSD rank-``s``
+    projection is set-valued at ``x``."""
+    return _cut_tie(x, s, lambda lam: np.maximum(lam, 0.0))
+
+
+def low_rank_tie(x, s: int) -> bool:
+    """The same test on the eigenvalue magnitudes in non-increasing order,
+    i.e. the sign-free rank-``s`` projection is set-valued at ``x``."""
+    return _cut_tie(x, s, lambda lam: -np.sort(-np.abs(lam)))
 
 
 @dataclass(frozen=True)
@@ -106,6 +110,20 @@ class MatrixConeReport:
     violated_condition: Optional[str] = None
 
 
+def _annihilation(xbar, y) -> tuple:
+    """Validate ``Y`` against ``Xbar``; return ``(Y, residual, vanishes)``
+    with ``residual`` the Frobenius norm of ``Xbar @ Y`` and ``vanishes``
+    whether it is zero within tolerance."""
+    y = check_symmetric(y, "Y")
+    if y.shape != xbar.shape:
+        raise ValueError("Xbar and Y must have the same dimension")
+    residual = float(np.linalg.norm(xbar @ y))
+    tol = MEMBERSHIP_TOL * (
+        1.0 + float(np.linalg.norm(xbar)) * float(np.linalg.norm(y))
+    )
+    return y, residual, residual <= tol
+
+
 def normal_cone_contains(xbar, y, s: int) -> MatrixConeReport:
     """Membership of ``Y`` in the normal cone to the PSD rank-at-most-``s``
     set at ``Xbar``.
@@ -114,21 +132,16 @@ def normal_cone_contains(xbar, y, s: int) -> MatrixConeReport:
     negative semidefinite or of rank at most ``m - s``.
     """
     xbar, _ = validate_psd_low_rank(xbar, s)
-    y = check_symmetric(y, "Y")
-    if y.shape != xbar.shape:
-        raise ValueError("Xbar and Y must have the same dimension")
+    y, residual, vanishes = _annihilation(xbar, y)
     m = xbar.shape[0]
     s = int(s)
-    residual = float(np.linalg.norm(xbar @ y))
     dec = eig_sym(y)
-    norm_x = float(np.linalg.norm(xbar))
-    norm_y = float(np.linalg.norm(y))
-    if residual > MEMBERSHIP_TOL * (1.0 + norm_x * norm_y):
+    if not vanishes:
         return MatrixConeReport(
             False, "none", residual, dec.lam, "Xbar @ Y is not zero"
         )
-    nsd = bool(dec.lam[0] <= MEMBERSHIP_TOL * (1.0 + norm_y))
-    rank_y = spectral_rank(dec.lam)
+    nsd = bool(dec.lam[0] <= MEMBERSHIP_TOL * (1.0 + float(np.linalg.norm(y))))
+    rank_y = numerical_rank(dec.lam)
     low_rank = rank_y <= m - s
     if nsd and low_rank:
         return MatrixConeReport(True, "both", residual, dec.lam)
@@ -150,22 +163,15 @@ def low_rank_normal_cone_contains(xbar, y, s: int) -> bool:
     ``s`` set at ``Xbar``, which must have rank exactly ``s`` (the formula is
     only available at maximal rank): the condition is ``Xbar @ Y = 0``."""
     xbar = check_symmetric(xbar, "Xbar")
-    y = check_symmetric(y, "Y")
-    if y.shape != xbar.shape:
-        raise ValueError("Xbar and Y must have the same dimension")
+    _, _, vanishes = _annihilation(xbar, y)
     s = int(s)
-    r = spectral_rank(eig_sym(xbar).lam)
+    r = numerical_rank(eig_sym(xbar).lam)
     if r != s:
         raise PreconditionError(
             f"Xbar has rank {r} != s = {s}; the normal-cone formula requires "
             "maximal rank"
         )
-    residual = float(np.linalg.norm(xbar @ y))
-    return bool(
-        residual
-        <= MEMBERSHIP_TOL
-        * (1.0 + float(np.linalg.norm(xbar)) * float(np.linalg.norm(y)))
-    )
+    return bool(vanishes)
 
 
 def prox_normal_cone_contains(xbar, y, s: int) -> bool:
@@ -173,17 +179,10 @@ def prox_normal_cone_contains(xbar, y, s: int) -> bool:
     maximal rank this is the PSD-cone normal cone (``Xbar @ Y = 0`` and ``Y``
     NSD); at maximal rank only ``Xbar @ Y = 0`` is required."""
     xbar, dec = validate_psd_low_rank(xbar, s)
-    y = check_symmetric(y, "Y")
-    if y.shape != xbar.shape:
-        raise ValueError("Xbar and Y must have the same dimension")
-    r = spectral_rank(dec.lam)
-    residual = float(np.linalg.norm(xbar @ y))
-    comp = residual <= MEMBERSHIP_TOL * (
-        1.0 + float(np.linalg.norm(xbar)) * float(np.linalg.norm(y))
-    )
-    if not comp:
+    y, _, vanishes = _annihilation(xbar, y)
+    if not vanishes:
         return False
-    if r == int(s):
+    if numerical_rank(dec.lam) == int(s):
         return True
     lam_max = float(eig_sym(y).lam[0])
     return bool(lam_max <= MEMBERSHIP_TOL * (1.0 + float(np.linalg.norm(y))))

@@ -21,8 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import MEMBERSHIP_TOL, zero_cutoff, zero_tol
-from .errors import PreconditionError
+from .config import MEMBERSHIP_TOL, zero_cutoff
 from . import edm as _edm
 from . import matrix_sets, vector_sets
 from .linalg import (
@@ -31,6 +30,8 @@ from .linalg import (
     eig_sym,
     lp_cone_point,
     null_intersection_basis,
+    null_space,
+    numerical_rank,
     symmetrize,
 )
 
@@ -71,15 +72,6 @@ class RegularityCertificate:
             json.dump(self.to_json_dict(), fh, indent=1)
 
 
-def _validate_vec_point(xbar, s: int) -> np.ndarray:
-    xbar = np.asarray(getattr(xbar, "x", xbar), dtype=float)
-    if np.min(xbar, initial=0.0) < -zero_cutoff(xbar):
-        raise PreconditionError("xbar has negative entries")
-    if vector_sets.sparsity(xbar) > s:
-        raise PreconditionError(f"xbar has more than s={s} nonzero entries")
-    return xbar
-
-
 def certify_affine_sparse(
     a, xbar, s: int,
     max_enum_dim: int = MAX_ENUM_DIM,
@@ -98,12 +90,10 @@ def certify_affine_sparse(
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     m = a.shape[1]
-    s = int(s)
-    if not 0 <= s <= m:
-        raise ValueError(f"s={s} out of range [0, {m}]")
-    xbar = _validate_vec_point(xbar, s)
+    xbar = vector_sets.validate_nonneg_sparse(xbar, s)
     if xbar.size != m:
         raise ValueError("xbar length does not match the number of columns of A")
+    s = int(s)
     v = Subspace.span(a)
     diag = {"normal_space_dim": v.dim, "m": m, "s": s}
     if v.dim == 0:
@@ -116,8 +106,7 @@ def certify_affine_sparse(
     # support of xbar
     point = lp_cone_point(v, zero_coords=support)
     if point is not None:
-        witness = point / float(np.linalg.norm(point))
-        _check_vec_witness(v, xbar, s, witness)
+        witness = _vec_witness(v, xbar, s, point)
         return RegularityCertificate(
             "not_regular", witness, "lp",
             "the affine normal space contains a nonnegative direction "
@@ -139,8 +128,7 @@ def certify_affine_sparse(
             checked += 1
             basis = null_intersection_basis(v, coords)
             if basis.shape[0] > 0:
-                witness = basis[0] / float(np.linalg.norm(basis[0]))
-                _check_vec_witness(v, xbar, s, witness)
+                witness = _vec_witness(v, xbar, s, basis[0])
                 diag["enumerated_sets"] = checked
                 return RegularityCertificate(
                     "not_regular", witness, "exact-combinatorial",
@@ -166,8 +154,7 @@ def certify_affine_sparse(
                 np.linalg.norm(yt) > 1e-8
                 and np.linalg.norm(yt - v.project(yt)) <= 1e-10 * (1 + np.linalg.norm(yt))
             ):
-                witness = yt / float(np.linalg.norm(yt))
-                _check_vec_witness(v, xbar, s, witness)
+                witness = _vec_witness(v, xbar, s, yt)
                 return RegularityCertificate(
                     "not_regular", witness, "falsification-search",
                     "sampled sparse direction in the affine normal space",
@@ -180,13 +167,16 @@ def certify_affine_sparse(
     )
 
 
-def _check_vec_witness(v: Subspace, xbar, s: int, y: np.ndarray) -> None:
+def _vec_witness(v: Subspace, xbar, s: int, y: np.ndarray) -> np.ndarray:
+    """``y`` scaled to unit norm, re-verified as a violation witness."""
+    y = y / float(np.linalg.norm(y))
     if np.linalg.norm(y) < 1e-6:
         raise AssertionError("witness too small")
     if np.linalg.norm(y - v.project(y)) > 1e-8 * (1.0 + np.linalg.norm(y)):
         raise AssertionError("witness left the affine normal space")
     if not vector_sets.normal_cone_contains(xbar, -y, s).is_member:
         raise AssertionError("witness fails the sparse-set normal-cone test")
+    return y
 
 
 def certify_span_low_rank_psd(
@@ -225,10 +215,7 @@ def certify_span_low_rank_psd(
             diagnostics=diag,
         )
     stacked = np.stack([(xbar @ b.reshape(m, m)).ravel() for b in span.basis], axis=1)
-    _, sv, vt = np.linalg.svd(stacked, full_matrices=True)
-    cutoff = zero_tol() * max(1.0, float(sv[0]) if sv.size else 0.0)
-    rank = int(np.sum(sv > cutoff))
-    null = vt[rank:]
+    null = null_space(stacked)
     diag["annihilator_dim"] = int(null.shape[0])
     if null.shape[0] == 0:
         return RegularityCertificate(
@@ -278,7 +265,7 @@ def _falsify_matrix_branch(kernel, m, s, rng_seed, n_starts, n_steps):
         lam = eig_sym(y).lam
         if lam[-1] >= -tol:
             return y, "a PSD kernel basis element"
-        if rank_cap > 0 and matrix_sets.spectral_rank(lam) <= rank_cap:
+        if rank_cap > 0 and numerical_rank(lam) <= rank_cap:
             return y, "a low-rank kernel basis element"
     for start in range(int(n_starts)):
         c = rng.standard_normal(k)
@@ -306,7 +293,7 @@ def _falsify_matrix_branch(kernel, m, s, rng_seed, n_starts, n_steps):
                 if use_psd and lam[-1] >= -tol:
                     return y, f"alternating PSD search (start {start})"
                 if not use_psd and rank_cap > 0:
-                    if matrix_sets.spectral_rank(lam) <= rank_cap:
+                    if numerical_rank(lam) <= rank_cap:
                         return y, f"alternating low-rank search (start {start})"
                 break
             if float(np.linalg.norm(y_new - y)) < 1e-14:
@@ -343,12 +330,11 @@ def prox_regularity_vector(
     half the smallest positive entry have single-valued projections; below
     it, points of the spoiling sequence have at least two projection members.
     """
-    xbar = np.asarray(getattr(xbar, "x", xbar), dtype=float)
+    xbar = vector_sets.validate_nonneg_sparse(xbar, s)
     m = xbar.size
     s = int(s)
     if m < 2 or not 1 <= s <= m - 1:
         raise ValueError(f"s={s} out of range [1, {m - 1}] (need m >= 2)")
-    xbar = _validate_vec_point(xbar, s)
     k0 = vector_sets.sparsity(xbar)
     if k0 == s:
         positive = xbar[np.abs(xbar) > zero_cutoff(xbar)]
@@ -384,16 +370,13 @@ def prox_regularity_matrix(
     """Prox-regularity of the PSD rank-at-most-``s`` set at ``Xbar``: holds
     exactly at maximal rank.  Evidence is produced by the vector probe on the
     eigenvalue vector (the diagonal case of the constraint)."""
-    xbar, dec = matrix_sets.validate_psd_low_rank(xbar, s, "Xbar")
-    m = xbar.shape[0]
+    _, dec = matrix_sets.validate_psd_low_rank(xbar, s, "Xbar")
     s = int(s)
-    if m < 2 or not 1 <= s <= m - 1:
-        raise ValueError(f"s={s} out of range [1, {m - 1}] (need m >= 2)")
     lam = np.maximum(dec.lam, 0.0)
-    cutoff = zero_tol() * max(1.0, float(lam.max()) if lam.size else 0.0)
-    lam[lam <= cutoff] = 0.0
+    rank = numerical_rank(lam)
+    lam[rank:] = 0.0  # the spectrum is non-increasing
+    # the vector probe checks the range of s against m = len(lam)
     ev = prox_regularity_vector(lam, s, n_samples=n_samples, ks=ks, rng_seed=rng_seed)
-    rank = int(np.sum(lam > 0.0))
     return ProxRegularityEvidence(
         prox_regular=(rank == s),
         rank_or_sparsity=rank,
@@ -444,22 +427,20 @@ def certify_edm_completion(inst: "_edm.PartialEdm", xbar) -> RegularityCertifica
     xbar = check_symmetric(xbar, "Xbar")
     block_x = _edm.validate_completion_point(inst, xbar)
     l_mat, unknowns = _completion_constraint_matrix(inst, block_x)
-    _, sv, vt = np.linalg.svd(l_mat, full_matrices=True)
-    cutoff = zero_tol() * max(1.0, float(sv[0]) if sv.size else 0.0)
-    rank = int(np.sum(sv > cutoff))
-    null_dim = len(unknowns) - rank
+    null = null_space(l_mat)
+    null_dim = null.shape[0]
     diag = {
         "n_unknowns": len(unknowns),
         "n_constraints": int(l_mat.shape[0]),
-        "rank": rank,
-        "null_dim": int(null_dim),
+        "rank": len(unknowns) - null_dim,
+        "null_dim": null_dim,
     }
     if null_dim == 0:
         return RegularityCertificate(
             "regular", None, "exact-linear",
             "the violation system has trivial null space", diagnostics=diag,
         )
-    coeffs = vt[-1]
+    coeffs = null[-1]
     n = inst.n_points
     witness = np.zeros((n, n))
     for (i, j), c in zip(unknowns, coeffs):

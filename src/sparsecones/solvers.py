@@ -64,7 +64,8 @@ class NonnegSparseSet(ConstraintSet):
         return vector_sets.top_s_nonneg(x, self.s)
 
     def tie_flag(self, x) -> bool:
-        return vector_sets.sparse_nonneg_tie(x, self.s)
+        res = vector_sets.project_sparse_nonneg(x, self.s, member_cap=1)
+        return res.member_count > 1
 
 
 class PsdLowRankSet(ConstraintSet):
@@ -124,8 +125,7 @@ class EmbeddingRankSet(ConstraintSet):
         return _edm.project_embedding_rank_core(self.dim, self.s, x)
 
     def tie_flag(self, x) -> bool:
-        block = _edm.transformed_block(np.asarray(x, dtype=float))
-        return matrix_sets.boundary_tie(block, self.s)
+        return matrix_sets.boundary_tie(_edm.transformed_block(x), self.s)
 
 
 def reflect(c: ConstraintSet, x) -> np.ndarray:
@@ -278,25 +278,23 @@ def _stalled(steps: list, window: int, x, anchor) -> bool:
     return float(np.linalg.norm(x - anchor)) < 0.5 * sum(steps[-window:])
 
 
-def solve_dr(c1: ConstraintSet, c2: ConstraintSet, x0, cfg: SolveConfig | None = None):
-    """Douglas-Rachford iteration until the shadow infeasibility drops below
-    tolerance, the iteration cap is reached, or the residual stalls.
-
-    Returns ``(shadow, trace)`` where ``shadow`` is the first-set projection
-    of the final iterate (the feasibility candidate).
-    """
-    cfg = cfg or SolveConfig()
+def _iterate(method: str, c1: ConstraintSet, c2: ConstraintSet, x0,
+             cfg: SolveConfig, first, step):
+    """The loop shared by DR and MAP.  ``first(n, x)`` is the first-set point
+    of iterate ``n`` (the shadow) and ``step(n, x, p, q)`` the next iterate,
+    given that point ``p`` and its second-set projection ``q``.  Runs until
+    the shadow infeasibility ``|p - q|`` drops below tolerance, the iteration
+    cap is reached, or the step norms stall; returns ``(shadow, trace)``."""
     x = np.asarray(x0, dtype=float).copy()
     residuals: list = []
     steps: list = []
     times: list = []
-    ties = 0
     status = "maxiter"
     anchor = x
     t0 = time.perf_counter()
     shadow = None
-    for _ in range(cfg.maxiter):
-        p = c1.project(x)
+    for n in range(cfg.maxiter):
+        p = first(n, x)
         q = c2.project(p)
         r = float(np.linalg.norm(p - q))
         residuals.append(r)
@@ -306,10 +304,7 @@ def solve_dr(c1: ConstraintSet, c2: ConstraintSet, x0, cfg: SolveConfig | None =
             status = "converged"
             steps.append(0.0)
             break
-        if cfg.track_ties:
-            ties += int(c1.tie_flag(x)) + int(c2.tie_flag(2.0 * p - x))
-        q_refl = c2.project(2.0 * p - x)
-        x_next = x + q_refl - p
+        x_next = step(n, x, p, q)
         steps.append(float(np.linalg.norm(x_next - x)))
         x = x_next
         if _stalled(steps, cfg.stall_window, x, anchor):
@@ -321,61 +316,50 @@ def solve_dr(c1: ConstraintSet, c2: ConstraintSet, x0, cfg: SolveConfig | None =
         # cap reached without break; shadow of the final iterate
         shadow = c1.project(x)
     trace = SolveTrace(
-        method="dr",
+        method=method,
         residuals=np.asarray(residuals),
         step_norms=np.asarray(steps),
         times_ms=np.asarray(times),
         status=status,
-        boundary_ties=ties if cfg.track_ties else None,
     )
     _attach_rate(trace)
+    return shadow, trace
+
+
+def solve_dr(c1: ConstraintSet, c2: ConstraintSet, x0, cfg: SolveConfig | None = None):
+    """Douglas-Rachford iteration until the shadow infeasibility drops below
+    tolerance, the iteration cap is reached, or the residual stalls.
+
+    Returns ``(shadow, trace)`` where ``shadow`` is the first-set projection
+    of the final iterate (the feasibility candidate).
+    """
+    cfg = cfg or SolveConfig()
+    ties = 0
+
+    def step(n, x, p, q):
+        nonlocal ties
+        if cfg.track_ties:
+            ties += int(c1.tie_flag(x)) + int(c2.tie_flag(2.0 * p - x))
+        return x + c2.project(2.0 * p - x) - p
+
+    shadow, trace = _iterate(
+        "dr", c1, c2, x0, cfg, lambda n, x: c1.project(x), step
+    )
+    if cfg.track_ties:
+        trace.boundary_ties = ties
     return shadow, trace
 
 
 def solve_map(c1: ConstraintSet, c2: ConstraintSet, x0, cfg: SolveConfig | None = None):
     """Alternating projections ``x -> P1(P2(x))`` with the same termination
     contract and trace format as :func:`solve_dr`."""
-    cfg = cfg or SolveConfig()
-    x = np.asarray(x0, dtype=float).copy()
-    residuals: list = []
-    steps: list = []
-    times: list = []
-    status = "maxiter"
-    anchor = x
-    t0 = time.perf_counter()
-    shadow = None
-    for n in range(cfg.maxiter):
-        # iterates lie in the first set from n = 1 on, so its projection is
-        # the identity there and the residual projection can be reused
-        p = c1.project(x) if n == 0 else x
-        q = c2.project(p)
-        r = float(np.linalg.norm(p - q))
-        residuals.append(r)
-        times.append((time.perf_counter() - t0) * 1e3)
-        shadow = p
-        if r <= cfg.tol:
-            status = "converged"
-            steps.append(0.0)
-            break
-        x_next = c1.project(c2.project(x) if n == 0 else q)
-        steps.append(float(np.linalg.norm(x_next - x)))
-        x = x_next
-        if _stalled(steps, cfg.stall_window, x, anchor):
-            status = "stalled"
-            break
-        if len(steps) % cfg.stall_window == 0:
-            anchor = x
-    else:
-        shadow = c1.project(x)
-    trace = SolveTrace(
-        method="map",
-        residuals=np.asarray(residuals),
-        step_norms=np.asarray(steps),
-        times_ms=np.asarray(times),
-        status=status,
+    # iterates lie in the first set from n = 1 on, so its projection is the
+    # identity there and the residual projection can be reused
+    return _iterate(
+        "map", c1, c2, x0, cfg or SolveConfig(),
+        lambda n, x: c1.project(x) if n == 0 else x,
+        lambda n, x, p, q: c1.project(c2.project(x) if n == 0 else q),
     )
-    _attach_rate(trace)
-    return shadow, trace
 
 
 def solve(c1: ConstraintSet, c2: ConstraintSet, x0, method: str = "dr",

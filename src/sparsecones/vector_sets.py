@@ -5,7 +5,8 @@ nonzero entries.  Projections onto it are set-valued; results carry the full
 (deduplicated) member set up to a cap, a deterministic canonical member, and
 the common distance.  Normal-cone membership is decided by the two-branch
 formula: directions that are complementary to the point and either
-nonpositive or supported on at most ``m - s`` coordinates.
+nonpositive or supported on at most ``m - s`` coordinates.  A vector with a
+NaN or infinite entry raises :class:`PreconditionError`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .config import zero_cutoff
-from .linalg import sort_desc
+from .errors import PreconditionError
 
 MEMBER_CAP = 512
 
@@ -54,7 +55,10 @@ class SparseVecPoint:
 
 
 def _as_vector(x) -> np.ndarray:
-    return np.asarray(getattr(x, "x", x), dtype=float)
+    x = np.asarray(getattr(x, "x", x), dtype=float)
+    if not np.isfinite(x).all():
+        raise PreconditionError("vector has a NaN or infinite entry")
+    return x
 
 
 @dataclass(frozen=True)
@@ -158,18 +162,6 @@ def top_s_nonneg(x, s: int) -> np.ndarray:
     return y
 
 
-def sparse_nonneg_tie(x, s: int) -> bool:
-    """True when the projection onto the nonnegative ``s``-sparse set is
-    set-valued at ``x`` (a value tie at the cut, with a positive cut)."""
-    x = _as_vector(x)
-    s = _require_s(s, x.size)
-    if s == 0 or s == x.size:
-        return False
-    xp = np.maximum(x, 0.0)
-    srt = np.sort(xp)[::-1]
-    return bool(srt[s - 1] > 0.0 and srt[s - 1] == srt[s])
-
-
 def decomposition_check(x, y, s: int) -> bool:
     """Whether ``y`` splits off ``x`` as a projection onto the nonnegative
     ``s``-sparse set.
@@ -198,19 +190,22 @@ def decomposition_check(x, y, s: int) -> bool:
     cz = zero_cutoff(z)
     if np.any((np.abs(y) > cy) & (np.abs(z) > cz)):
         return False
-    ys = sort_desc(y)[s - 1]
+    ys = np.sort(y)[-s]
     z1 = float(np.max(z)) if m else 0.0
     slack = 1e-12 * (1.0 + float(np.max(np.abs(x))))
     return bool(ys >= z1 - slack)
 
 
-def _validate_in_set(x, s: int, name: str) -> np.ndarray:
+def validate_nonneg_sparse(x, s: int, name: str = "xbar") -> np.ndarray:
+    """Validate membership in the nonnegative ``s``-sparse set; return the
+    point as a float vector.  Raises :class:`PreconditionError` naming the
+    failed condition."""
     x = _as_vector(x)
     s = _require_s(s, x.size)
     if np.min(x, initial=0.0) < -zero_cutoff(x):
-        raise ValueError(f"{name} has negative entries")
+        raise PreconditionError(f"{name} has negative entries")
     if sparsity(x) > s:
-        raise ValueError(f"{name} has more than s={s} nonzero entries")
+        raise PreconditionError(f"{name} has more than s={s} nonzero entries")
     return x
 
 
@@ -222,7 +217,7 @@ def inverse_projection_contains(y, x, s: int) -> bool:
     together with the support values dominating the clipped off-support
     entries of ``x``; below maximal sparsity it is ``max(x, 0) == y``.
     """
-    y = _validate_in_set(y, s, "y")
+    y = validate_nonneg_sparse(y, s, "y")
     x = _as_vector(x)
     if x.shape != y.shape:
         raise ValueError("x and y must have equal length")
@@ -258,7 +253,7 @@ def normal_cone_contains(xbar, y, s: int) -> ConeMembershipReport:
     ``xbar``: nonpositive directions, and directions with at most ``m - s``
     nonzero entries.  Reports every branch that holds.
     """
-    xbar = _validate_in_set(xbar, s, "xbar")
+    xbar = validate_nonneg_sparse(xbar, s)
     y = _as_vector(y)
     if xbar.shape != y.shape:
         raise ValueError("xbar and y must have equal length")
@@ -292,7 +287,7 @@ def prox_normal_cone_contains(xbar, y, s: int) -> bool:
     """Membership of ``y`` in the proximal normal cone at ``xbar``: the
     nonnegative-orthant cone below maximal sparsity, the full normal cone at
     maximal sparsity."""
-    xbar = _validate_in_set(xbar, s, "xbar")
+    xbar = validate_nonneg_sparse(xbar, s)
     y = _as_vector(y)
     if xbar.shape != y.shape:
         raise ValueError("xbar and y must have equal length")
@@ -312,7 +307,7 @@ def normal_cone_sample(xbar, s: int, count: int, rng_seed: int) -> list:
     are nontrivial, and occasionally emits the zero vector.  Every output
     passes :func:`normal_cone_contains`.
     """
-    xbar = _validate_in_set(xbar, s, "xbar")
+    xbar = validate_nonneg_sparse(xbar, s)
     m = xbar.size
     s = int(s)
     rng = np.random.default_rng(rng_seed)

@@ -38,6 +38,23 @@ class TestProject:
         assert np.allclose(data["canonical"], [[0.5, 0.5], [0.5, 0.5]])
         assert data["boundary_tie"] is False
 
+    @pytest.mark.parametrize("kind, diag, tie", [
+        ("low-rank", [2.0, -2.0, 0.0], True),
+        ("low-rank", [2.0, -1.0, 0.0], False),
+        ("psd-low-rank", [2.0, 2.0, 1.0], True),
+        ("psd-low-rank", [2.0, -2.0, 0.0], False),
+    ])
+    def test_matrix_tie_reporting(self, tmp_path, kind, diag, tie):
+        inp = write(tmp_path / "m.json", np.diag(diag).tolist())
+        out = tmp_path / "out.json"
+        rc = cli.main(["project", "--input", inp, "--set", kind,
+                       "--s", "1", "--output", str(out)])
+        assert rc == 0
+        data = read(out)
+        assert data["boundary_tie"] is tie
+        # a tie makes the matrix projection a continuum of members
+        assert data["member_count"] == (None if tie else 1)
+
     def test_invalid_s_exit_code(self, tmp_path, capsys):
         inp = write(tmp_path / "v.json", [1.0, 2.0])
         rc = cli.main(["project", "--input", inp, "--set", "nonneg-sparse",

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sparsecones import linalg
+from sparsecones.config import zero_tol
 from sparsecones.errors import PreconditionError
 
 from conftest import random_symmetric
@@ -70,38 +71,29 @@ class TestEigSym:
             assert np.linalg.norm(x - y) >= np.linalg.norm(lx - ly) - 1e-9
 
 
-class TestElementwise:
-    def test_hadamard_examples(self):
-        assert np.allclose(linalg.hadamard([1, 0], [0, 5]), [0, 0])
-        assert np.allclose(linalg.hadamard([2, 3], [1, 1]), [2, 3])
-        assert np.allclose(linalg.hadamard([1, -2, 0], [3, 3, 9]), [3, -6, 0])
+class TestNumericalRank:
+    def test_relative_cutoff(self):
+        tol = zero_tol()
+        assert linalg.numerical_rank([3.0, 1.0, 0.0]) == 2
+        assert linalg.numerical_rank([1e6, 1e6 * tol * 0.5, -1.0]) == 2
+        assert linalg.numerical_rank([1e6, -1e6 * tol * 2.0]) == 2
 
-    def test_hadamard_length_mismatch(self):
-        with pytest.raises(ValueError):
-            linalg.hadamard([1.0], [1.0, 2.0])
+    def test_scale_floor_of_one(self):
+        tol = zero_tol()
+        # below magnitude 1 the cutoff stays absolute
+        assert linalg.numerical_rank([1e-3, 0.5 * tol]) == 1
+        assert linalg.numerical_rank([2.0 * tol]) == 1
+        assert linalg.numerical_rank([0.5 * tol]) == 0
+        assert linalg.numerical_rank([]) == 0
 
-    def test_hadamard_algebra(self, rng):
-        x, y, z = (rng.standard_normal(6) for _ in range(3))
-        assert np.allclose(linalg.hadamard(x, y), linalg.hadamard(y, x))
-        assert np.allclose(
-            linalg.hadamard(linalg.hadamard(x, y), z),
-            linalg.hadamard(x, linalg.hadamard(y, z)),
-        )
-        assert np.allclose(
-            linalg.hadamard(x, y + z),
-            linalg.hadamard(x, y) + linalg.hadamard(x, z),
-        )
-
-    def test_sort_desc(self):
-        assert np.allclose(linalg.sort_desc([1, 3, 2]), [3, 2, 1])
-        assert np.allclose(linalg.sort_desc([0, 0]), [0, 0])
-        assert np.allclose(linalg.sort_desc([-1, -3]), [-1, -3])
-
-    def test_sort_desc_idempotent(self, rng):
-        x = rng.standard_normal(10)
-        once = linalg.sort_desc(x)
-        assert np.array_equal(linalg.sort_desc(once), once)
-        assert sorted(once) == sorted(x)
+    def test_null_space(self, rng):
+        a = rng.standard_normal((2, 5))
+        a = np.vstack([a, a[0] - 2.0 * a[1]])
+        null = linalg.null_space(a)
+        assert null.shape == (3, 5)
+        assert np.max(np.abs(a @ null.T)) <= 1e-10
+        assert np.max(np.abs(null @ null.T - np.eye(3))) <= 1e-10
+        assert linalg.null_space(np.eye(3)).shape == (0, 3)
 
 
 class TestSubspace:
@@ -127,18 +119,18 @@ class TestSubspace:
 
     def test_null_intersection_examples(self):
         e1 = linalg.Subspace.span([[1.0, 0.0]])
-        assert linalg.null_intersection_dim(e1, {0}) == 1
-        assert linalg.null_intersection_dim(e1, {1}) == 0
+        assert linalg.null_intersection_basis(e1, {0}).shape[0] == 1
+        assert linalg.null_intersection_basis(e1, {1}).shape[0] == 0
         v = linalg.Subspace.span([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        assert linalg.null_intersection_dim(v, {0, 1}) == 1
+        assert linalg.null_intersection_basis(v, {0, 1}).shape[0] == 1
 
     def test_null_intersection_monotone(self, rng):
         v = linalg.Subspace.span(rng.standard_normal((3, 7)))
         coords = set()
-        last = linalg.null_intersection_dim(v, coords)
+        last = linalg.null_intersection_basis(v, coords).shape[0]
         for j in range(7):
             coords.add(j)
-            cur = linalg.null_intersection_dim(v, coords)
+            cur = linalg.null_intersection_basis(v, coords).shape[0]
             assert cur >= last
             last = cur
         assert last == v.dim
@@ -146,15 +138,15 @@ class TestSubspace:
     def test_coords_out_of_range(self):
         v = linalg.Subspace.span([[1.0, 0.0]])
         with pytest.raises(ValueError):
-            linalg.null_intersection_dim(v, {5})
+            linalg.null_intersection_basis(v, {5})
 
 
 class TestLpCone:
     def test_examples(self):
-        assert linalg.lp_cone_nontrivial(linalg.Subspace.span([[1.0, 0.0]]))
-        assert not linalg.lp_cone_nontrivial(linalg.Subspace.span([[1.0, -1.0]]))
+        assert linalg.lp_cone_point(linalg.Subspace.span([[1.0, 0.0]])) is not None
+        assert linalg.lp_cone_point(linalg.Subspace.span([[1.0, -1.0]])) is None
         v = linalg.Subspace.span([[1.0, 1.0, 0.0], [0.0, 0.0, -1.0]])
-        assert linalg.lp_cone_nontrivial(v, zero_coords={2})
+        assert linalg.lp_cone_point(v, zero_coords={2}) is not None
 
     def test_point_is_feasible(self, rng):
         v = linalg.Subspace.span(rng.standard_normal((2, 5)))
@@ -168,7 +160,7 @@ class TestLpCone:
     def test_trivial_subspace(self):
         v = linalg.Subspace.span(np.zeros((1, 4)))
         assert v.dim == 0
-        assert not linalg.lp_cone_nontrivial(v)
+        assert linalg.lp_cone_point(v) is None
 
     def test_against_external_lp(self, rng):
         # cross-check the hand-rolled simplex against an independent solver
@@ -179,6 +171,6 @@ class TestLpCone:
             n_zero = int(rng.integers(0, m))
             zero = set(map(int, rng.choice(m, size=n_zero, replace=False)))
             v = linalg.Subspace.span(basis_raw)
-            got = linalg.lp_cone_nontrivial(v, zero_coords=zero)
+            got = linalg.lp_cone_point(v, zero_coords=zero) is not None
             want = nonneg_direction_exists_lp(v.basis, frozenset(zero))
             assert got == want, (trial, v.basis, zero)

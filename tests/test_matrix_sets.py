@@ -100,6 +100,14 @@ class TestProjections:
         assert not ms.boundary_tie(np.diag([2.0, 0.0, 0.0]), 2)  # tie at zero
         assert not ms.boundary_tie(np.diag([2.0, 1.0]), 2)  # s = m
 
+    def test_low_rank_tie(self):
+        # ties are between eigenvalue magnitudes, whatever their signs
+        assert ms.low_rank_tie(np.diag([2.0, -2.0, 0.0]), 1)
+        assert ms.low_rank_tie(np.diag([-1.0, 3.0, -3.0]), 1)
+        assert not ms.low_rank_tie(np.diag([2.0, -1.0, 0.0]), 1)
+        assert not ms.low_rank_tie(np.diag([2.0, 0.0, 0.0]), 2)  # tie at zero
+        assert not ms.low_rank_tie(np.diag([2.0, -2.0]), 2)  # s = m
+
     def test_rejects_bad_s(self):
         with pytest.raises(ValueError):
             ms.project_psd_low_rank(np.eye(2), 3)

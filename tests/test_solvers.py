@@ -2,6 +2,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsecones import edm, solvers, vector_sets
 from sparsecones.solvers import (
@@ -22,6 +24,7 @@ from sparsecones.solvers import (
 )
 
 from conftest import random_symmetric
+from oracles import sparse_nonneg_projection_members
 
 DATA = Path(__file__).parent / "data"
 
@@ -300,6 +303,16 @@ class TestConstraintSets:
         assert NonnegSparseSet(1).tie_flag(np.array([1.0, 1.0]))
         assert not NonnegSparseSet(1).tie_flag(np.array([2.0, 1.0]))
         assert PsdLowRankSet(1).tie_flag(np.diag([2.0, 2.0, 0.0]))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=7).flatmap(
+        lambda x: st.tuples(st.just(x), st.integers(0, len(x)))
+    ))
+    def test_sparse_tie_flag_matches_oracle(self, case):
+        x, s = case
+        x = np.asarray(x, dtype=float)
+        members = sparse_nonneg_projection_members(x, s)
+        assert NonnegSparseSet(s).tie_flag(x) == (len(members) > 1)
 
     def test_tie_tracking(self):
         c1 = AffineSet([[1.0, 1.0]], [2.0])

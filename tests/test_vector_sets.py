@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sparsecones import vector_sets as vs
+from sparsecones.errors import PreconditionError
 
 from oracles import member_of, same_member_set, sparse_nonneg_projection_members
 
@@ -294,6 +295,34 @@ class TestProxNormalCone:
             y = rng.standard_normal(m)
             if vs.prox_normal_cone_contains(xbar, y, s):
                 assert vs.normal_cone_contains(xbar, y, s).is_member
+
+
+class TestValidation:
+    def test_validate_nonneg_sparse(self):
+        x = vs.validate_nonneg_sparse([2, 0, 1], 2, "xbar")
+        assert x.dtype == float and np.array_equal(x, [2.0, 0.0, 1.0])
+        with pytest.raises(PreconditionError, match="xbar has negative"):
+            vs.validate_nonneg_sparse([2.0, -1.0], 2, "xbar")
+        with pytest.raises(PreconditionError, match="y has more than s=1"):
+            vs.validate_nonneg_sparse([2.0, 1.0], 1, "y")
+        with pytest.raises(ValueError, match="out of range"):
+            vs.validate_nonneg_sparse([2.0, 1.0], 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        x = [bad, 1.0, 2.0]
+        calls = [
+            lambda: vs.project_sparse_nonneg(x, 1),
+            lambda: vs.project_sparse(x, 1),
+            lambda: vs.top_s_nonneg(x, 1),
+            lambda: vs.project_nonneg(x),
+            lambda: vs.normal_cone_contains([1.0, 0.0, 0.0], [0.0, bad, 1.0], 1),
+            lambda: vs.normal_cone_contains(x, [0.0, 0.0, 0.0], 3),
+            lambda: vs.decomposition_check([1.0, 0.0, 0.0], x, 1),
+        ]
+        for call in calls:
+            with pytest.raises(PreconditionError, match="NaN or infinite"):
+                call()
 
 
 class TestNormalConeSample:
