@@ -3,7 +3,8 @@
 One binary with subcommands: ``project`` (set projections), ``cone-check``
 (normal-cone membership), ``certify`` (strong-regularity certificates),
 ``solve`` (feasibility solvers on instance files), ``edm-generate`` /
-``edm-complete`` (distance-matrix workflows) and ``bench`` (seeded sweeps).
+``edm-complete`` (distance-matrix workflows) and ``bench`` (seeded serial
+sweeps).
 
 Exit codes: 0 success (certify: regular; solve: converged), 2 invalid input
 or precondition failure, 3 not regular, 4 undecided, 5 not converged.  All
@@ -18,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from multiprocessing import Pool
 
 import numpy as np
 
@@ -70,6 +70,11 @@ def _as_matrix(data, path):
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise CliError(f"{path}: expected a square row-major JSON array of arrays")
     return _finite(arr, path)
+
+
+def _as_system_matrix(data, path):
+    """The ``A`` field of a linear instance as a finite 2-D array."""
+    return _finite(np.atleast_2d(np.asarray(_field(data, "A", path), dtype=float)), path)
 
 
 def _field(data, key, path):
@@ -180,7 +185,7 @@ def _cmd_cone_check(args) -> int:
 def _cmd_certify(args) -> int:
     data = _load_json(args.instance)
     if args.mode == "affine-sparse":
-        a = np.atleast_2d(np.asarray(_field(data, "A", args.instance), dtype=float))
+        a = _as_system_matrix(data, args.instance)
         xbar = _as_vector(_field(data, "xbar", args.instance), args.instance)
         s = int(_field(data, "s", args.instance))
         cert = regularity.certify_affine_sparse(
@@ -230,8 +235,7 @@ def _solve_cfg(args) -> solvers.SolveConfig:
 
 def _start_vector(x_default, args, shape):
     if args.x0_file is not None:
-        data = _load_json(args.x0_file)
-        x0 = np.asarray(data, dtype=float)
+        x0 = _finite(np.asarray(_load_json(args.x0_file), dtype=float), args.x0_file)
         if x0.shape != shape:
             raise CliError(f"{args.x0_file}: start has shape {x0.shape}, expected {shape}")
         return x0
@@ -251,7 +255,7 @@ def _cmd_solve(args) -> int:
     data = _load_json(args.instance)
     cfg = _solve_cfg(args)
     if "A" in data:  # sparse linear feasibility
-        a = np.atleast_2d(np.asarray(_field(data, "A", args.instance), dtype=float))
+        a = _as_system_matrix(data, args.instance)
         b = _as_vector(_field(data, "b", args.instance), args.instance)
         s = int(_field(data, "s", args.instance))
         c1 = solvers.AffineSet(a, b)
@@ -355,24 +359,23 @@ def _bench_row(seed, trace, **extra) -> dict:
     }
 
 
-def _bench_edm_one(task):
-    seed, points, dim, fraction, method, tol, maxiter = task
-    inst, pts = edm_mod.generate_instance(points, dim, fraction, seed)
-    cfg = solvers.SolveConfig(tol=tol, maxiter=maxiter)
-    shadow, trace = solvers.complete_edm(inst, method=method, cfg=cfg)
+def _bench_edm_one(seed, args):
+    inst, _ = edm_mod.generate_instance(args.points, args.dim, args.fraction, seed)
+    cfg = solvers.SolveConfig(tol=args.tol, maxiter=args.maxiter)
+    _, trace = solvers.complete_edm(inst, method=args.method, cfg=cfg)
     return _bench_row(seed, trace)
 
 
-def _bench_sparse_one(task):
-    seed, m, s, rows, method, tol, maxiter = task
-    a, b, x_true = solvers.plant_sparse_instance(m, s, rows, seed)
+def _bench_sparse_one(seed, args):
+    m, s = args.m, args.s
+    a, b, x_true = solvers.plant_sparse_instance(m, s, 2 * s + 1, seed)
     rng = np.random.default_rng(seed + 1)
     delta = rng.standard_normal(m)
     x0 = x_true + 0.05 * delta / float(np.linalg.norm(delta))
     c1 = solvers.AffineSet(a, b)
     c2 = solvers.NonnegSparseSet(s)
-    cfg = solvers.SolveConfig(tol=tol, maxiter=maxiter)
-    shadow, trace = solvers.solve(c1, c2, x0, method, cfg)
+    cfg = solvers.SolveConfig(tol=args.tol, maxiter=args.maxiter)
+    shadow, trace = solvers.solve(c1, c2, x0, args.method, cfg)
     q = c2.project(shadow)
     recovered = int(
         trace.status == "converged"
@@ -385,25 +388,8 @@ def _bench_sparse_one(task):
 def _cmd_bench(args) -> int:
     import csv as _csv
 
-    if args.kind == "edm":
-        tasks = [
-            (args.seed + i, args.points, args.dim, args.fraction,
-             args.method, args.tol, args.maxiter)
-            for i in range(args.count)
-        ]
-        worker = _bench_edm_one
-    else:
-        tasks = [
-            (args.seed + i, args.m, args.s, 2 * args.s + 1,
-             args.method, args.tol, args.maxiter)
-            for i in range(args.count)
-        ]
-        worker = _bench_sparse_one
-    if args.parallel > 1:
-        with Pool(args.parallel) as pool:
-            rows = pool.map(worker, tasks)  # ordered merge by task index
-    else:
-        rows = [worker(t) for t in tasks]
+    worker = _bench_edm_one if args.kind == "edm" else _bench_sparse_one
+    rows = [worker(args.seed + i, args) for i in range(args.count)]
     with open(args.output_csv, "w", newline="") as fh:
         writer = _csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
@@ -484,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="dr", choices=("dr", "map"))
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--maxiter", type=int, default=20_000)
-    p.add_argument("--parallel", type=int, default=1)
     p.add_argument("--points", type=int, default=6)
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--fraction", type=float, default=0.7)

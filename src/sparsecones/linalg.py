@@ -22,6 +22,14 @@ from .errors import NumericalError, PreconditionError
 _SYM_TOL = 1e-12
 
 
+def check_finite(x: np.ndarray, name: str) -> np.ndarray:
+    """Return ``x``; raise :class:`PreconditionError` if it has a NaN or
+    infinite entry."""
+    if not np.isfinite(x).all():
+        raise PreconditionError(f"{name} has a NaN or infinite entry")
+    return x
+
+
 def symmetrize(x: np.ndarray) -> np.ndarray:
     """Return the symmetric part 0.5 * (x + x^T) as a float copy."""
     x = np.asarray(x, dtype=float)

@@ -26,6 +26,7 @@ from . import edm as _edm
 from . import matrix_sets, vector_sets
 from .linalg import (
     Subspace,
+    check_finite,
     check_symmetric,
     eig_sym,
     lp_cone_point,
@@ -88,7 +89,7 @@ def certify_affine_sparse(
     enumerating coordinate sets, exact up to ``max_enum_dim``; above that a
     sampling falsification runs and the verdict may be ``undecided``).
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
+    a = check_finite(np.atleast_2d(np.asarray(a, dtype=float)), "A")
     m = a.shape[1]
     xbar = vector_sets.validate_nonneg_sparse(xbar, s)
     if xbar.size != m:

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import edm as _edm
 from . import matrix_sets, vector_sets
+from .linalg import check_finite
 
 
 class ConstraintSet:
@@ -41,8 +42,8 @@ class AffineSet(ConstraintSet):
     kind = "affine"
 
     def __init__(self, a, b):
-        self.a = np.atleast_2d(np.asarray(a, dtype=float))
-        self.b = np.atleast_1d(np.asarray(b, dtype=float))
+        self.a = check_finite(np.atleast_2d(np.asarray(a, dtype=float)), "A")
+        self.b = check_finite(np.atleast_1d(np.asarray(b, dtype=float)), "b")
         if self.a.shape[0] != self.b.shape[0]:
             raise ValueError("A and b have incompatible shapes")
         self._pinv = np.linalg.pinv(self.a)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .config import zero_cutoff
 from .errors import PreconditionError
+from .linalg import check_finite
 
 MEMBER_CAP = 512
 
@@ -38,27 +39,8 @@ def sparsity(x) -> int:
     return int(support_indices(x).size)
 
 
-@dataclass(frozen=True)
-class SparseVecPoint:
-    """A vector with cached support and an optional sparsity bound."""
-
-    x: np.ndarray
-    support: tuple
-    s_level: Optional[int] = None
-
-    @classmethod
-    def from_array(cls, x, s_level: Optional[int] = None) -> "SparseVecPoint":
-        x = np.asarray(x, dtype=float)
-        if s_level is not None and not 0 <= s_level <= x.size:
-            raise ValueError(f"s_level {s_level} out of range [0, {x.size}]")
-        return cls(x=x, support=tuple(support_indices(x)), s_level=s_level)
-
-
 def _as_vector(x) -> np.ndarray:
-    x = np.asarray(getattr(x, "x", x), dtype=float)
-    if not np.isfinite(x).all():
-        raise PreconditionError("vector has a NaN or infinite entry")
-    return x
+    return check_finite(np.asarray(x, dtype=float), "vector")
 
 
 @dataclass(frozen=True)
@@ -92,6 +74,29 @@ def _require_s(s: int, m: int) -> int:
     return s
 
 
+def _cut(v, s: int):
+    """The ``s``-th largest entry of ``v`` (``inf`` for ``s == 0``)."""
+    return np.partition(v, v.size - s)[v.size - s] if s else np.inf
+
+
+def _top_s(v, s: int):
+    """Select the ``s`` largest entries of ``v``, value descending and then
+    index ascending: the canonical rule of every sparse projection.
+
+    Returns ``(cut, above, tied, keep)``: the :func:`_cut` value, the masks
+    of the entries above and equal to it, and the mask of the ``s`` kept
+    entries, which is ``above`` plus the lowest-index ``tied`` entries.
+    """
+    cut = _cut(v, s)
+    above = v > cut
+    tied = v == cut
+    keep = above | tied
+    excess = np.count_nonzero(keep) - s
+    if excess:
+        keep[np.flatnonzero(tied)[-excess:]] = False
+    return cut, above, tied, keep
+
+
 def _enumerate_members(values, keep_always, tied, slots, member_cap):
     """Member vectors keeping ``keep_always`` plus ``slots`` of ``tied``."""
     total = comb(len(tied), slots)
@@ -111,8 +116,7 @@ def project_sparse_nonneg(x, s: int, member_cap: int = MEMBER_CAP) -> Projection
 
     Equals the sparse projection of the nonnegative part: keep the ``s``
     largest entries of ``max(x, 0)`` and zero the rest, enumerating all exact
-    value ties.  The canonical member keeps the lexicographically smallest
-    index set under (value descending, index ascending) order.
+    value ties.  The canonical member breaks ties by the lowest index.
     """
     x = _as_vector(x)
     res = project_sparse(np.maximum(x, 0.0), s, member_cap)
@@ -124,23 +128,17 @@ def project_sparse(x, s: int, member_cap: int = MEMBER_CAP) -> ProjectionResult:
     constraint): keep the ``s`` entries largest in magnitude, enumerating all
     exact magnitude ties."""
     x = _as_vector(x)
-    m = x.size
-    s = _require_s(s, m)
-    if s == 0:
-        y = np.zeros(m)
-        return ProjectionResult((y,), y, float(np.linalg.norm(x)), 1)
-    mag = np.abs(x)
-    order = np.argsort(-mag, kind="stable")
-    threshold = mag[order[s - 1]]
-    if threshold == 0.0:
+    s = _require_s(s, x.size)
+    cut, above, tied, keep = _top_s(np.abs(x), s)
+    if cut == 0.0:
+        # at most s nonzeros: x is the only member
         y = x.copy()
         return ProjectionResult((y,), y, 0.0, 1)
-    above = np.flatnonzero(mag > threshold)
-    tied = np.flatnonzero(mag == threshold)
-    slots = s - above.size
-    members, total = _enumerate_members(x, above, tied.tolist(), slots, member_cap)
-    canonical = np.zeros(m)
-    canonical[order[:s]] = x[order[:s]]
+    slots = s - np.count_nonzero(above)
+    members, total = _enumerate_members(
+        x, above, np.flatnonzero(tied).tolist(), slots, member_cap
+    )
+    canonical = np.where(keep, x, 0.0)
     if members is None:
         members = (canonical,)
     distance = float(np.linalg.norm(x - canonical))
@@ -151,15 +149,8 @@ def top_s_nonneg(x, s: int) -> np.ndarray:
     """Canonical member of :func:`project_sparse_nonneg` without the
     set-valued bookkeeping (used in solver hot loops)."""
     x = _as_vector(x)
-    s = _require_s(s, x.size)
     xp = np.maximum(x, 0.0)
-    if s == 0:
-        return np.zeros_like(xp)
-    order = np.argsort(-xp, kind="stable")
-    y = np.zeros_like(xp)
-    keep = order[:s]
-    y[keep] = xp[keep]
-    return y
+    return np.where(_top_s(xp, _require_s(s, x.size))[3], xp, 0.0)
 
 
 def decomposition_check(x, y, s: int) -> bool:
@@ -190,7 +181,7 @@ def decomposition_check(x, y, s: int) -> bool:
     cz = zero_cutoff(z)
     if np.any((np.abs(y) > cy) & (np.abs(z) > cz)):
         return False
-    ys = np.sort(y)[-s]
+    ys = _cut(y, s)
     z1 = float(np.max(z)) if m else 0.0
     slack = 1e-12 * (1.0 + float(np.max(np.abs(x))))
     return bool(ys >= z1 - slack)

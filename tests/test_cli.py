@@ -131,6 +131,14 @@ class TestCertify:
         assert rc == 0
         assert read(out)["verdict"] == "regular"
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_affine_sparse_non_finite_a(self, tmp_path, capsys, bad):
+        inp = write(tmp_path / "i.json", {"A": [[bad, 1.0]], "xbar": [1.0, 0.0], "s": 1})
+        rc = cli.main(["certify", "--instance", inp, "--mode", "affine-sparse",
+                       "--output", str(tmp_path / "cert.json")])
+        assert rc == 2
+        assert f"{inp}: NaN or infinite" in capsys.readouterr().err
+
     def test_affine_sparse_not_regular(self, tmp_path):
         inp = write(tmp_path / "i.json", {"A": [[0.0, 1.0]], "xbar": [1.0, 0.0], "s": 1})
         out = tmp_path / "cert.json"
@@ -220,6 +228,21 @@ class TestSolve:
         assert rc == 2
         assert "--seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["A", "x0"])
+    def test_non_finite_input_exit_code(self, tmp_path, capsys, field, bad):
+        a = [[bad, 1.0]] if field == "A" else [[1.0, 1.0]]
+        inp = write(tmp_path / "lin.json", {"A": a, "b": [1.0], "s": 1})
+        x0 = write(tmp_path / "x0.json", [bad if field == "x0" else 0.0, 0.0])
+        rc = cli.main(["solve", "--instance", inp, "--method", "dr",
+                       "--x0-file", x0,
+                       "--output-result", str(tmp_path / "r.json"),
+                       "--output-trace", str(tmp_path / "t.csv")])
+        assert rc == 2
+        # rejected while loading, naming the offending file
+        bad_file = inp if field == "A" else x0
+        assert f"{bad_file}: NaN or infinite" in capsys.readouterr().err
+
     def test_unrecognized_instance(self, tmp_path):
         inp = write(tmp_path / "x.json", {"foo": 1})
         rc = cli.main(["solve", "--instance", inp, "--method", "dr",
@@ -246,12 +269,18 @@ class TestZeroTolEnv:
         import os
         import subprocess
         import sys
+        from pathlib import Path
+
+        import sparsecones
 
         code = (
             "import sparsecones; import sys; "
             "sys.exit(0 if sparsecones.zero_tol() == 1e-6 else 1)"
         )
-        env = dict(os.environ, SPARSECONES_ZERO_TOL="1e-6")
+        # the child imports the same package as this process, installed or not
+        src = str(Path(sparsecones.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, SPARSECONES_ZERO_TOL="1e-6", PYTHONPATH=path)
         proc = subprocess.run([sys.executable, "-c", code], env=env)
         assert proc.returncode == 0
 
@@ -306,18 +335,3 @@ class TestEdmWorkflow:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 3
         assert [int(r["seed"]) for r in rows] == [5, 6, 7]
-
-    def test_bench_parallel_matches_serial(self, tmp_path):
-        serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
-        base = ["bench", "--kind", "edm", "--count", "2", "--seed", "11",
-                "--points", "5", "--fraction", "0.8", "--maxiter", "5000"]
-        assert cli.main(base + ["--output-csv", str(serial)]) == 0
-        assert cli.main(base + ["--parallel", "2", "--output-csv", str(parallel)]) == 0
-        with open(serial) as fh:
-            rows_s = list(csv.DictReader(fh))
-        with open(parallel) as fh:
-            rows_p = list(csv.DictReader(fh))
-        for rs, rp in zip(rows_s, rows_p):
-            rs.pop("wall_ms")
-            rp.pop("wall_ms")
-            assert rs == rp

@@ -91,6 +91,11 @@ class TestAffineSparse:
         assert cert.verdict in ("not_regular", "undecided")
         assert cert.method in ("lp", "falsification-search")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(PreconditionError, match="NaN or infinite"):
+            regularity.certify_affine_sparse([[bad, 1.0, 0.0]], [1.0, 0.0, 0.0], 1)
+
     def test_certificate_serialization(self, tmp_path):
         cert = regularity.certify_affine_sparse([[0.0, 1.0]], [1.0, 0.0], 1)
         path = tmp_path / "cert.json"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsecones import edm, solvers, vector_sets
+from sparsecones.errors import PreconditionError
 from sparsecones.solvers import (
     AffineSet,
     EmbeddingRankSet,
@@ -304,8 +305,16 @@ class TestConstraintSets:
         assert not NonnegSparseSet(1).tie_flag(np.array([2.0, 1.0]))
         assert PsdLowRankSet(1).tie_flag(np.diag([2.0, 2.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_affine_rejects_non_finite(self, bad):
+        with pytest.raises(PreconditionError, match="A has a NaN or infinite"):
+            AffineSet([[bad, 1.0]], [1.0])
+        with pytest.raises(PreconditionError, match="b has a NaN or infinite"):
+            AffineSet([[1.0, 1.0]], [bad])
+
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=7).flatmap(
+    @given(st.lists(st.one_of(st.integers(-3, 3), st.just(-0.0)),
+                    min_size=1, max_size=7).flatmap(
         lambda x: st.tuples(st.just(x), st.integers(0, len(x)))
     ))
     def test_sparse_tie_flag_matches_oracle(self, case):
@@ -313,6 +322,15 @@ class TestConstraintSets:
         x = np.asarray(x, dtype=float)
         members = sparse_nonneg_projection_members(x, s)
         assert NonnegSparseSet(s).tie_flag(x) == (len(members) > 1)
+        res = vector_sets.project_sparse_nonneg(x, s)
+        assert res.member_count == len(members)
+        top = vector_sets.top_s_nonneg(x, s)
+        assert np.array_equal(top, res.canonical)
+        assert np.array_equal(np.signbit(top), np.signbit(res.canonical))
+        # ties go to the lowest indices: the smallest support in
+        # lexicographic order
+        first = min(members, key=lambda mem: tuple(np.flatnonzero(mem)))
+        assert np.array_equal(res.canonical, first)
 
     def test_tie_tracking(self):
         c1 = AffineSet([[1.0, 1.0]], [2.0])

@@ -105,22 +105,6 @@ class TestProjectNonneg:
         assert np.allclose(vs.project_nonneg([5.0, -5.0, 0.0]), [5.0, 0.0, 0.0])
 
 
-class TestSparseVecPoint:
-    def test_support_cached(self):
-        pt = vs.SparseVecPoint.from_array([1.0, 0.0, -2.0], s_level=2)
-        assert pt.support == (0, 2)
-        assert pt.s_level == 2
-
-    def test_s_level_validated(self):
-        with pytest.raises(ValueError):
-            vs.SparseVecPoint.from_array([1.0], s_level=5)
-
-    def test_accepted_by_operations(self):
-        pt = vs.SparseVecPoint.from_array([1.0, 0.0, 0.0])
-        rep = vs.normal_cone_contains(pt, [0.0, -1.0, 0.0], 1)
-        assert rep.is_member
-
-
 class TestProjectSparse:
     def test_magnitude_selection(self):
         res = vs.project_sparse([3.0, -4.0, 1.0], 1)
