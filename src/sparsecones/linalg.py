@@ -93,13 +93,16 @@ def eig_sym(x) -> EigenDecomp:
     return EigenDecomp(u=u[order], lam=lam[order])
 
 
-def numerical_rank(values) -> int:
+def numerical_rank(values):
     """Number of entries of ``values`` (eigenvalues or singular values) of
     magnitude above ``zero_tol() * max(1, largest magnitude)``: the one rank
-    rule of the library."""
+    rule of the library.  Counted along the last axis: an ``int`` for a 1-D
+    input, an integer array of per-row ranks for a stack."""
     mag = np.abs(values)
-    scale = float(mag.max()) if mag.size else 0.0
-    return int(np.count_nonzero(mag > zero_tol() * max(1.0, scale)))
+    above = mag > zero_tol() * mag.max(axis=-1, keepdims=True, initial=1.0)
+    if mag.ndim == 1:
+        return int(np.count_nonzero(above))
+    return np.count_nonzero(above, axis=-1)
 
 
 def null_space(a) -> np.ndarray:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Optional
 
 import numpy as np
@@ -37,6 +37,7 @@ from .linalg import (
 )
 
 MAX_ENUM_DIM = 20
+ENUM_CHUNK = 4096  # coordinate sets per batched SVD; bounds the stack's memory
 FALSIFICATION_STARTS = 10_000
 FALSIFICATION_STEPS = 200
 
@@ -87,7 +88,11 @@ def certify_affine_sparse(
     complementary to ``xbar`` and is either nonnegative (decided by a
     feasibility LP) or supported on at most ``m - s`` coordinates (decided by
     enumerating coordinate sets, exact up to ``max_enum_dim``; above that a
-    sampling falsification runs and the verdict may be ``undecided``).
+    sampling falsification runs and the verdict may be ``undecided``).  The
+    sets are checked in ``combinations`` order by one batched SVD per chunk
+    of ``ENUM_CHUNK`` sets under the :func:`numerical_rank` rule, so memory is
+    bounded by the chunk; the first rank-deficient set gives the witness
+    through :func:`null_intersection_basis`.
     """
     a = check_finite(np.atleast_2d(np.asarray(a, dtype=float)), "A")
     m = a.shape[1]
@@ -113,10 +118,13 @@ def certify_affine_sparse(
             "the affine normal space contains a nonnegative direction "
             "complementary to xbar", diagnostics=diag,
         )
+    free = sorted(set(range(m)) - support)
+    # the normal directions vanishing on the support: the space both branches search
+    comp_basis = null_intersection_basis(v, free)
+    diag["complementary_dim"] = comp_basis.shape[0]
     # sparsity branch: nonzero row-space vector supported on m - s
     # coordinates away from the support
     need = m - s
-    free = sorted(set(range(m)) - support)
     if need == 0:
         return RegularityCertificate(
             "regular", None, "exact-combinatorial",
@@ -124,19 +132,15 @@ def certify_affine_sparse(
             "is trivial for s = m", diagnostics=diag,
         )
     if m <= max_enum_dim:
-        checked = 0
-        for coords in combinations(free, need):
-            checked += 1
-            basis = null_intersection_basis(v, coords)
-            if basis.shape[0] > 0:
-                witness = _vec_witness(v, xbar, s, basis[0])
-                diag["enumerated_sets"] = checked
-                return RegularityCertificate(
-                    "not_regular", witness, "exact-combinatorial",
-                    f"the affine normal space meets the coordinate subspace "
-                    f"of {sorted(coords)}", diagnostics=diag,
-                )
+        checked, coords = _first_meeting_set(v, combinations(free, need))
         diag["enumerated_sets"] = checked
+        if coords is not None:
+            witness = _vec_witness(v, xbar, s, null_intersection_basis(v, coords)[0])
+            return RegularityCertificate(
+                "not_regular", witness, "exact-combinatorial",
+                f"the affine normal space meets the coordinate subspace "
+                f"of {sorted(coords)}", diagnostics=diag,
+            )
         return RegularityCertificate(
             "regular", None, "exact-combinatorial",
             f"both branches exhausted over {checked} coordinate sets",
@@ -145,7 +149,6 @@ def certify_affine_sparse(
     # falsification only: sample complementary row-space directions and
     # hard-threshold them toward the sparsity branch
     rng = np.random.default_rng(rng_seed)
-    comp_basis = null_intersection_basis(v, free)
     k = comp_basis.shape[0]
     if k > 0:
         for _ in range(int(n_starts)):
@@ -166,6 +169,25 @@ def certify_affine_sparse(
         f"m = {m} exceeds the exact enumeration cap {max_enum_dim} and the "
         "falsification search found no witness", seed=rng_seed, diagnostics=diag,
     )
+
+
+def _first_meeting_set(v: Subspace, sets):
+    """``(sets checked, first set)`` for the first of ``sets`` whose off-set
+    columns of ``v.basis`` have :func:`numerical_rank` below ``v.dim``, else
+    ``(sets checked, None)``: one batched full SVD per chunk, per slice the
+    LAPACK call of :func:`null_intersection_basis`."""
+    checked = 0
+    while chunk := list(islice(sets, ENUM_CHUNK)):
+        off = np.ones((len(chunk), v.ambient_dim), dtype=bool)
+        off[np.arange(len(chunk))[:, None], np.array(chunk)] = False
+        complement = np.nonzero(off)[1].reshape(len(chunk), -1)
+        stack = np.moveaxis(v.basis[:, complement], 0, 1)  # (chunk, k, m - need)
+        sv = np.linalg.svd(stack, full_matrices=True).S
+        deficient = np.flatnonzero(numerical_rank(sv) < v.dim)
+        if deficient.size:
+            return checked + int(deficient[0]) + 1, chunk[deficient[0]]
+        checked += len(chunk)
+    return checked, None
 
 
 def _vec_witness(v: Subspace, xbar, s: int, y: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsecones import linalg
 from sparsecones.config import zero_tol
@@ -86,6 +88,25 @@ class TestNumericalRank:
         assert linalg.numerical_rank([0.5 * tol]) == 0
         assert linalg.numerical_rank([]) == 0
 
+    def test_stack_ranks_each_row(self, rng):
+        tol = zero_tol()
+        stack = np.array([
+            [3.0, 1.0, 0.0],
+            [1e6, 1e6 * tol * 0.5, -1.0],  # cutoff relative to the largest
+            [1e-3, 0.5 * tol, 0.0],  # cutoff floored at max(1, largest)
+            [2.0 * tol, 0.0, -0.5 * tol],
+            [0.0, 0.0, 0.0],
+        ])
+        ranks = linalg.numerical_rank(stack)
+        assert ranks.tolist() == [linalg.numerical_rank(row) for row in stack]
+        assert ranks.tolist() == [2, 2, 1, 1, 0]
+        sv = np.linalg.svd(rng.integers(-1, 2, size=(50, 3, 4)).astype(float)).S
+        assert linalg.numerical_rank(sv).tolist() == [linalg.numerical_rank(r) for r in sv]
+        assert linalg.numerical_rank(np.zeros((4, 0))).tolist() == [0, 0, 0, 0]
+        assert linalg.numerical_rank(np.zeros((0, 3))).shape == (0,)
+        assert type(linalg.numerical_rank(stack[0])) is int
+        assert type(linalg.numerical_rank([])) is int
+
     def test_null_space(self, rng):
         a = rng.standard_normal((2, 5))
         a = np.vstack([a, a[0] - 2.0 * a[1]])
@@ -161,6 +182,23 @@ class TestLpCone:
         v = linalg.Subspace.span(np.zeros((1, 4)))
         assert v.dim == 0
         assert linalg.lp_cone_point(v) is None
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(2, 6).flatmap(lambda m: st.tuples(
+        st.lists(st.lists(st.integers(-2, 2), min_size=m, max_size=m),
+                 min_size=1, max_size=m),
+        st.sets(st.integers(0, m - 1), max_size=m - 1),
+    )))
+    def test_point_matches_external_lp(self, case):
+        rows, zero = case
+        v = linalg.Subspace.span(np.array(rows, dtype=float))
+        y = linalg.lp_cone_point(v, zero_coords=zero)
+        assert (y is not None) == nonneg_direction_exists_lp(v.basis, frozenset(zero))
+        if y is not None:
+            assert np.min(y) >= -1e-9
+            assert abs(np.sum(y) - 1.0) <= 1e-9
+            assert v.contains(y, tol=1e-7)
+            assert np.max(np.abs(y[sorted(zero)]), initial=0.0) <= 1e-9
 
     def test_against_external_lp(self, rng):
         # cross-check the hand-rolled simplex against an independent solver

@@ -2,6 +2,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsecones import edm, linalg, matrix_sets, regularity, vector_sets
 from sparsecones.errors import PreconditionError
@@ -35,7 +37,65 @@ def brute_force_affine_sparse(a, xbar, s):
     return True
 
 
+def per_set_enumeration(a, xbar, s):
+    """The sparsity branch of the affine/sparse certifier as one
+    ``null_intersection_basis`` call per coordinate set, in ``combinations``
+    order: ``(verdict, enumerated_sets, witness)``."""
+    v = linalg.Subspace.span(a)
+    if v.dim == 0:
+        return "regular", None, None
+    m = a.shape[1]
+    free = sorted(set(range(m)) - set(np.flatnonzero(xbar).tolist()))
+    checked = 0
+    for coords in combinations(free, m - s):
+        checked += 1
+        basis = linalg.null_intersection_basis(v, coords)
+        if basis.shape[0] > 0:
+            return "not_regular", checked, regularity._vec_witness(v, xbar, s, basis[0])
+    return "regular", checked, None
+
+
+@st.composite
+def lp_infeasible_instances(draw):
+    """Small integer ``(A, xbar, s)`` with s < m whose rows sum to zero off
+    the support of ``xbar``, so no nonnegative normal direction vanishes on
+    the support (Stiemke) and the certifier always reaches the enumeration.
+    Zeroed columns make coordinate sets meet the row space."""
+    m = draw(st.integers(2, 9))
+    s = draw(st.integers(0, m - 1))
+    support = draw(st.lists(st.integers(0, m - 1), max_size=s, unique=True))
+    rows = draw(st.integers(1, max(s, 1)))
+    a = np.array(draw(st.lists(
+        st.lists(st.sampled_from([1, -1, 2, -2, 0]), min_size=m, max_size=m),
+        min_size=rows, max_size=rows,
+    )), dtype=float)
+    a[:, draw(st.lists(st.integers(0, m - 1), max_size=m // 2, unique=True))] = 0.0
+    free = [j for j in range(m) if j not in support]
+    a[:, free[-1]] -= a[:, free].sum(axis=1)
+    xbar = np.zeros(m)
+    xbar[support] = draw(st.lists(
+        st.integers(1, 3), min_size=len(support), max_size=len(support)))
+    return a, xbar, s
+
+
 class TestAffineSparse:
+    @pytest.mark.parametrize("chunk", [1, 3, regularity.ENUM_CHUNK])
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(lp_infeasible_instances())
+    def test_batched_enumeration_matches_per_set_loop(self, chunk, case):
+        a, xbar, s = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(regularity, "ENUM_CHUNK", chunk)
+            cert = regularity.certify_affine_sparse(a, xbar, s)
+        verdict, checked, witness = per_set_enumeration(a, xbar, s)
+        assert cert.verdict == verdict
+        assert cert.method == "exact-combinatorial"
+        assert cert.diagnostics.get("enumerated_sets") == checked
+        if witness is None:
+            assert cert.witness is None
+        else:
+            assert np.array_equal(cert.witness, witness)
+
     def test_regular_example(self):
         cert = regularity.certify_affine_sparse([[1.0, 1.0]], [1.0, 0.0], 1)
         assert cert.verdict == "regular"
@@ -45,6 +105,17 @@ class TestAffineSparse:
         cert = regularity.certify_affine_sparse([[0.0, 1.0]], [1.0, 0.0], 1)
         assert cert.verdict == "not_regular"
         assert np.allclose(np.abs(cert.witness), [0.0, 1.0], atol=1e-9)
+
+    def test_complementary_dim(self):
+        # the only row-space directions vanishing on coordinate 0 are
+        # multiples of (0, 1, -1); a set meeting them is a hit
+        cert = regularity.certify_affine_sparse([[1.0, 1.0, 0.0], [0.0, 1.0, -1.0]],
+                                                [1.0, 0.0, 0.0], 1)
+        assert cert.diagnostics["complementary_dim"] == 1
+        assert cert.verdict == "not_regular"
+        assert np.allclose(np.abs(cert.witness), [0.0, 2 ** -0.5, 2 ** -0.5])
+        cert = regularity.certify_affine_sparse([[1.0, 1.0]], [1.0, 0.0], 1)
+        assert cert.diagnostics["complementary_dim"] == 0
 
     def test_full_rank_never_regular(self, rng):
         for m in (3, 4, 5):
