@@ -37,22 +37,25 @@ def symmetrize(x: np.ndarray) -> np.ndarray:
 
 
 def check_symmetric(x, name: str = "matrix") -> np.ndarray:
-    """Validate that ``x`` is square and symmetric; return a symmetrized copy.
+    """Validate that ``x`` is square and symmetric; return a symmetrized copy,
+    ``0.5 * (x + x.T)``, the same bits as :func:`symmetrize`.
 
     Asymmetry up to roundoff (1e-12 relative) is tolerated and averaged away;
     anything larger raises ``ValueError``.  NaN or infinite entries raise
-    :class:`PreconditionError`.
+    :class:`PreconditionError`.  Every public entry that takes a symmetric
+    matrix validates it here, once; inside the solver loop each embedding
+    projection runs it on the iterate and on the transformed block only.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError(f"{name} must be square, got shape {x.shape}")
-    scale = float(np.max(np.abs(x))) if x.size else 0.0
+    scale = float(abs(x).max()) if x.size else 0.0
     if not math.isfinite(scale):
         raise PreconditionError(f"{name} has a NaN or infinite entry")
-    asym = float(np.max(np.abs(x - x.T))) if x.size else 0.0
+    asym = float(abs(x - x.T).max()) if x.size else 0.0
     if asym > _SYM_TOL * (1.0 + scale):
         raise ValueError(f"{name} is not symmetric (max asymmetry {asym:.3e})")
-    return symmetrize(x)
+    return 0.5 * (x + x.T)
 
 
 @dataclass(frozen=True)

@@ -92,7 +92,10 @@ def certify_affine_sparse(
     sets are checked in ``combinations`` order by one batched SVD per chunk
     of ``ENUM_CHUNK`` sets under the :func:`numerical_rank` rule, so memory is
     bounded by the chunk; the first rank-deficient set gives the witness
-    through :func:`null_intersection_basis`.
+    through :func:`null_intersection_basis`.  Both branches search the
+    row-space directions that vanish on the support
+    (``diagnostics["complementary_dim"]``); above ``max_enum_dim``, when
+    there are none, the verdict is an exact ``regular``.
     """
     a = check_finite(np.atleast_2d(np.asarray(a, dtype=float)), "A")
     m = a.shape[1]
@@ -146,24 +149,29 @@ def certify_affine_sparse(
             f"both branches exhausted over {checked} coordinate sets",
             diagnostics=diag,
         )
+    k = comp_basis.shape[0]
+    if k == 0:
+        return RegularityCertificate(
+            "regular", None, "exact-linear",
+            "no nonzero direction of the affine normal space vanishes on the "
+            "support of xbar, so neither branch can hit", diagnostics=diag,
+        )
     # falsification only: sample complementary row-space directions and
     # hard-threshold them toward the sparsity branch
     rng = np.random.default_rng(rng_seed)
-    k = comp_basis.shape[0]
-    if k > 0:
-        for _ in range(int(n_starts)):
-            y = rng.standard_normal(k) @ comp_basis
-            yt = vector_sets.project_sparse(y, need).canonical
-            if (
-                np.linalg.norm(yt) > 1e-8
-                and np.linalg.norm(yt - v.project(yt)) <= 1e-10 * (1 + np.linalg.norm(yt))
-            ):
-                witness = _vec_witness(v, xbar, s, yt)
-                return RegularityCertificate(
-                    "not_regular", witness, "falsification-search",
-                    "sampled sparse direction in the affine normal space",
-                    seed=rng_seed, diagnostics=diag,
-                )
+    for _ in range(int(n_starts)):
+        y = rng.standard_normal(k) @ comp_basis
+        yt = vector_sets.project_sparse(y, need).canonical
+        if (
+            np.linalg.norm(yt) > 1e-8
+            and np.linalg.norm(yt - v.project(yt)) <= 1e-10 * (1 + np.linalg.norm(yt))
+        ):
+            witness = _vec_witness(v, xbar, s, yt)
+            return RegularityCertificate(
+                "not_regular", witness, "falsification-search",
+                "sampled sparse direction in the affine normal space",
+                seed=rng_seed, diagnostics=diag,
+            )
     return RegularityCertificate(
         "undecided", None, "falsification-search",
         f"m = {m} exceeds the exact enumeration cap {max_enum_dim} and the "

@@ -2,13 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsecones import edm
 from sparsecones.errors import PreconditionError
 from sparsecones.linalg import symmetrize
 from sparsecones.solvers import EmbeddingRankSet, FixedEntriesNonnegSet
 
-from conftest import random_symmetric
+from conftest import psd_low_rank_lift, random_symmetric, symmetric_matrices
 
 
 class TestHouseholderMap:
@@ -217,6 +219,60 @@ class TestProjections:
             t[:4, :4] = block
             z = g.apply(t)
             assert d2 <= np.linalg.norm(x - z) + 1e-9
+
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_embedding_projection_is_the_spectral_lift(self, data):
+        # the block is either random or built with repeated eigenvalues and
+        # sent back through the reflector, so its ties survive up to roundoff
+        n = data.draw(st.integers(2, 8))
+        s = data.draw(st.integers(0, n - 1))
+        g = edm.householder_map(n)
+        if data.draw(st.booleans()):
+            x = data.draw(symmetric_matrices(n, n))
+        else:
+            y = data.draw(symmetric_matrices(n, n))
+            y[: n - 1, : n - 1] = data.draw(symmetric_matrices(n - 1, n - 1))
+            x = symmetrize(g.apply(y))
+        y = g.apply(x)
+        y[: n - 1, : n - 1] = psd_low_rank_lift(symmetrize(y[: n - 1, : n - 1]), s)
+        want = symmetrize(g.apply(y))
+        assert np.array_equal(edm.project_embedding_rank_core(n, s, x), want)
+
+    @pytest.mark.parametrize("entry", ["core", "set"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_embedding_projection_rejects_non_finite_border(self, rng, entry, bad):
+        # the border of the input is invisible to the block's own check
+        x = random_symmetric(rng, 5)
+        x[4, 1] = x[1, 4] = bad
+        with pytest.raises(PreconditionError, match="X has a NaN or infinite entry"):
+            self._embedding_projection(entry)(x)
+
+    @pytest.mark.parametrize("entry", ["core", "set"])
+    def test_embedding_projection_rejects_asymmetric_border(self, rng, entry):
+        x = random_symmetric(rng, 5)
+        x[4, 1] += 1e-3
+        with pytest.raises(ValueError, match="X is not symmetric"):
+            self._embedding_projection(entry)(x)
+
+    @pytest.mark.parametrize("entry", ["core", "set"])
+    def test_embedding_projection_accepts_large_border_part(self, rng, entry):
+        # 1 a^T + a 1^T transforms to zero on the block, so the block is the
+        # roundoff of a large product; it must not be judged asymmetric
+        n = 8
+        ones, a = np.ones(n), rng.standard_normal(n)
+        for _ in range(20):
+            x = 1e4 * (np.outer(ones, a) + np.outer(a, ones))
+            x += 1e-3 * random_symmetric(rng, n)
+            z = self._embedding_projection(entry, n)(x)
+            assert np.array_equal(z, z.T)
+
+    @staticmethod
+    def _embedding_projection(entry, n=5):
+        if entry == "core":
+            return lambda x: edm.project_embedding_rank_core(n, 2, x)
+        return EmbeddingRankSet(n, 2).project
 
 
 class TestNormalCones:

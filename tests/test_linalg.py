@@ -11,6 +11,32 @@ from conftest import random_symmetric
 from oracles import nonneg_direction_exists_lp
 
 
+class TestCheckSymmetric:
+    def test_messages(self):
+        with pytest.raises(ValueError, match=r"^X must be square, got shape \(2, 3\)$"):
+            linalg.check_symmetric(np.zeros((2, 3)), "X")
+        with pytest.raises(ValueError, match=r"^matrix must be square, got shape \(4,\)$"):
+            linalg.check_symmetric(np.zeros(4))
+        with pytest.raises(PreconditionError, match="^X has a NaN or infinite entry$"):
+            linalg.check_symmetric(np.array([[0.0, np.nan], [np.nan, 0.0]]), "X")
+        with pytest.raises(
+            ValueError, match=r"^X is not symmetric \(max asymmetry 5\.000e-01\)$"
+        ):
+            linalg.check_symmetric(np.array([[0.0, 1.0], [0.5, 0.0]]), "X")
+
+    def test_empty(self):
+        out = linalg.check_symmetric(np.zeros((0, 0)))
+        assert out.shape == (0, 0) and out.dtype == float
+
+    def test_roundoff_averaged_like_symmetrize(self, rng):
+        x = random_symmetric(rng, 6)
+        x[0, 5] += 1e-14
+        out = linalg.check_symmetric(x)
+        assert np.array_equal(out, linalg.symmetrize(x))
+        assert np.array_equal(out, out.T)
+        assert out is not x
+
+
 class TestEigSym:
     def test_diagonal(self):
         dec = linalg.eig_sym(np.diag([3.0, 1.0, 2.0]))

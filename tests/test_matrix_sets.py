@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsecones import matrix_sets as ms
 from sparsecones import vector_sets as vs
 from sparsecones.errors import PreconditionError
 from sparsecones.linalg import eig_sym
 
-from conftest import random_symmetric
+from conftest import psd_low_rank_lift, random_symmetric, symmetric_matrices
 
 
 def random_psd_low_rank(rng, m, s, scale=1.0):
@@ -78,6 +80,22 @@ class TestProjections:
             got = ms.project_psd_low_rank(np.diag(x), s)
             want = np.diag(vs.project_sparse_nonneg(x, s).canonical)
             assert np.allclose(got, want, atol=1e-12)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_psd_low_rank_is_the_spectral_lift(self, data):
+        # the top-eigenpair kernel gives the bits of the full lift through
+        # eig_sym, including the tie order on exactly repeated eigenvalues
+        x = data.draw(symmetric_matrices())
+        s = data.draw(st.integers(0, x.shape[0]))
+        assert np.array_equal(ms.project_psd_low_rank(x, s), psd_low_rank_lift(x, s))
+
+    def test_psd_low_rank_is_the_spectral_lift_at_n34(self, rng):
+        # at this size and s >= 32, BLAS sums a product of strided
+        # eigenvector views in another order than the full lift
+        x = random_symmetric(rng, 34)
+        for s in range(35):
+            assert np.array_equal(ms.project_psd_low_rank(x, s), psd_low_rank_lift(x, s))
 
     def test_sampling_optimality(self, rng):
         for _ in range(10):

@@ -2,7 +2,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sparsecones import edm, linalg, matrix_sets, regularity, vector_sets
@@ -78,6 +78,25 @@ def lp_infeasible_instances(draw):
     return a, xbar, s
 
 
+@st.composite
+def trivially_complementary_instances(draw):
+    """Small integer ``(A, xbar, s)`` with s < m and at most as many rows as
+    ``xbar`` has support coordinates, so that usually no nonzero row-space
+    direction vanishes on the support."""
+    m = draw(st.integers(2, 9))
+    s = draw(st.integers(1, m - 1))
+    support = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=s, unique=True))
+    rows = draw(st.integers(1, len(support)))
+    a = np.array(draw(st.lists(
+        st.lists(st.sampled_from([1, -1, 2, -2, 0]), min_size=m, max_size=m),
+        min_size=rows, max_size=rows,
+    )), dtype=float)
+    xbar = np.zeros(m)
+    xbar[support] = draw(st.lists(
+        st.integers(1, 3), min_size=len(support), max_size=len(support)))
+    return a, xbar, s
+
+
 class TestAffineSparse:
     @pytest.mark.parametrize("chunk", [1, 3, regularity.ENUM_CHUNK])
     @settings(max_examples=120, deadline=None, derandomize=True)
@@ -95,6 +114,30 @@ class TestAffineSparse:
             assert cert.witness is None
         else:
             assert np.array_equal(cert.witness, witness)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(trivially_complementary_instances())
+    def test_exact_regular_without_complementary_directions(self, case):
+        # the shortcut above max_enum_dim agrees with the enumeration below it
+        a, xbar, s = case
+        enumerated = regularity.certify_affine_sparse(a, xbar, s)
+        assume(enumerated.diagnostics.get("complementary_dim") == 0)
+        shortcut = regularity.certify_affine_sparse(a, xbar, s, max_enum_dim=0)
+        assert enumerated.method == "exact-combinatorial"
+        assert shortcut.method == "exact-linear"
+        assert shortcut.verdict == enumerated.verdict == "regular"
+        assert shortcut.witness is None
+        assert brute_force_affine_sparse(a, xbar, s)
+
+    def test_exact_regular_above_enumeration_cap(self):
+        # the only row-space direction (all ones) does not vanish at
+        # coordinate 0, so neither branch can hit: exact without enumerating
+        xbar = np.zeros(25)
+        xbar[0] = 1.0
+        cert = regularity.certify_affine_sparse(np.ones((1, 25)), xbar, 1)
+        assert (cert.verdict, cert.method) == ("regular", "exact-linear")
+        assert cert.diagnostics["complementary_dim"] == 0
+        assert "enumerated_sets" not in cert.diagnostics
 
     def test_regular_example(self):
         cert = regularity.certify_affine_sparse([[1.0, 1.0]], [1.0, 0.0], 1)
