@@ -109,9 +109,12 @@ def numerical_rank(values):
 
 
 def null_space(a) -> np.ndarray:
-    """Orthonormal basis rows of the null space of ``a``, from a full SVD
-    whose rank is :func:`numerical_rank` of the singular values."""
-    _, sv, vt = np.linalg.svd(a, full_matrices=True)
+    """Orthonormal basis rows of the null space of ``a``, from an SVD whose
+    rank is :func:`numerical_rank` of the singular values.  The SVD is thin
+    unless ``a`` is wide: with at least as many rows as columns the thin
+    ``Vt`` is already the full basis, and the tall ``U`` is never read."""
+    a = np.asarray(a)
+    _, sv, vt = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     return vt[numerical_rank(sv):]
 
 
@@ -164,7 +167,8 @@ def null_intersection_basis(v: Subspace, coords: Iterable[int]) -> np.ndarray:
     if not complement:
         return v.basis.copy()
     m = v.basis[:, complement]  # k x |complement|; need c with c @ m = 0
-    u, sv, _ = np.linalg.svd(m, full_matrices=True)
+    # with k <= |complement| the thin U is already the full k x k
+    u, sv, _ = np.linalg.svd(m, full_matrices=k > len(complement))
     c = u[:, numerical_rank(sv):].T  # orthonormal coefficient rows
     return c @ v.basis
 

@@ -6,10 +6,10 @@ zero; it is the transversality condition behind local linear convergence of
 projection methods.  The vector certifier decides the condition exactly by a
 feasibility LP (nonpositive branch) plus support enumeration (sparsity
 branch).  The matrix certifier is exact when the annihilating subspace is
-trivial and otherwise falls back to a seeded falsification search, returning
-``undecided`` rather than claiming regularity from a failed search.  The
-distance-matrix certifier is fully linear and decided exactly by a rank
-computation.
+trivial or the point has maximal rank, and otherwise falls back to a seeded
+falsification search, returning ``undecided`` rather than claiming
+regularity from a failed search.  The distance-matrix certifier is fully
+linear and decided exactly by a rank computation.
 """
 
 from __future__ import annotations
@@ -89,11 +89,13 @@ def certify_affine_sparse(
     feasibility LP) or supported on at most ``m - s`` coordinates (decided by
     enumerating coordinate sets, exact up to ``max_enum_dim``; above that a
     sampling falsification runs and the verdict may be ``undecided``).  The
-    sets are checked in ``combinations`` order by one batched SVD per chunk
-    of ``ENUM_CHUNK`` sets under the :func:`numerical_rank` rule, so memory is
-    bounded by the chunk; the first rank-deficient set gives the witness
-    through :func:`null_intersection_basis`.  Both branches search the
-    row-space directions that vanish on the support
+    sets are screened in ``combinations`` order by the singular values of
+    one batched SVD per chunk of ``ENUM_CHUNK`` sets under the
+    :func:`numerical_rank` rule, so memory is bounded by the chunk.  Each
+    set that passes the screen is confirmed by
+    :func:`null_intersection_basis`; the first confirmed set gives the
+    witness, and its position is ``diagnostics["enumerated_sets"]``.  Both
+    branches search the row-space directions that vanish on the support
     (``diagnostics["complementary_dim"]``); above ``max_enum_dim``, when
     there are none, the verdict is an exact ``regular``.
     """
@@ -135,10 +137,10 @@ def certify_affine_sparse(
             "is trivial for s = m", diagnostics=diag,
         )
     if m <= max_enum_dim:
-        checked, coords = _first_meeting_set(v, combinations(free, need))
+        checked, coords, basis = _first_meeting_set(v, combinations(free, need))
         diag["enumerated_sets"] = checked
         if coords is not None:
-            witness = _vec_witness(v, xbar, s, null_intersection_basis(v, coords)[0])
+            witness = _vec_witness(v, xbar, s, basis[0])
             return RegularityCertificate(
                 "not_regular", witness, "exact-combinatorial",
                 f"the affine normal space meets the coordinate subspace "
@@ -180,22 +182,27 @@ def certify_affine_sparse(
 
 
 def _first_meeting_set(v: Subspace, sets):
-    """``(sets checked, first set)`` for the first of ``sets`` whose off-set
-    columns of ``v.basis`` have :func:`numerical_rank` below ``v.dim``, else
-    ``(sets checked, None)``: one batched full SVD per chunk, per slice the
-    LAPACK call of :func:`null_intersection_basis`."""
+    """``(sets checked, first set, its basis)`` for the first of ``sets``
+    whose coordinate subspace meets ``v``, else ``(sets checked, None,
+    None)``.  Each chunk is screened by the singular values alone of one
+    batched SVD of the off-set columns of ``v.basis``: a set passes the
+    screen when their :func:`numerical_rank` is below ``v.dim``.  A set that
+    passes is confirmed by :func:`null_intersection_basis` under the same
+    rule, whose nonempty basis is returned; a set that fails confirmation
+    (the two calls disagree at the cutoff) is skipped."""
     checked = 0
     while chunk := list(islice(sets, ENUM_CHUNK)):
         off = np.ones((len(chunk), v.ambient_dim), dtype=bool)
         off[np.arange(len(chunk))[:, None], np.array(chunk)] = False
         complement = np.nonzero(off)[1].reshape(len(chunk), -1)
         stack = np.moveaxis(v.basis[:, complement], 0, 1)  # (chunk, k, m - need)
-        sv = np.linalg.svd(stack, full_matrices=True).S
-        deficient = np.flatnonzero(numerical_rank(sv) < v.dim)
-        if deficient.size:
-            return checked + int(deficient[0]) + 1, chunk[deficient[0]]
+        sv = np.linalg.svd(stack, compute_uv=False)
+        for i in np.flatnonzero(numerical_rank(sv) < v.dim):
+            basis = null_intersection_basis(v, chunk[i])
+            if basis.shape[0]:
+                return checked + int(i) + 1, chunk[i], basis
         checked += len(chunk)
-    return checked, None
+    return checked, None, None
 
 
 def _vec_witness(v: Subspace, xbar, s: int, y: np.ndarray) -> np.ndarray:
@@ -220,7 +227,10 @@ def certify_span_low_rank_psd(
     symmetric matrices, PSD rank-at-most-``s`` matrices} at ``Xbar``.
 
     Phase 1 (exact): the subspace of span elements annihilated by ``Xbar`` is
-    computed; if trivial, the pair is regular.  Phase 2 (falsification):
+    computed; if trivial, the pair is regular.  If it is not and ``Xbar`` has
+    maximal rank ``s``, every annihilating element has its range in the null
+    space of ``Xbar`` and so rank at most ``m - s``: the first basis element
+    is an exact witness.  Phase 2 (falsification, below maximal rank):
     seeded random starts alternate between that subspace and the PSD cone
     (or the rank-at-most-``m - s`` set) looking for a nonzero witness; if the
     search fails the verdict is ``undecided``.
@@ -232,7 +242,7 @@ def certify_span_low_rank_psd(
     for a_j in mats:
         if a_j.shape[0] != m:
             raise ValueError("spanning matrices must share the dimension of Xbar")
-    xbar, _ = matrix_sets.validate_psd_low_rank(xbar, s, "Xbar")
+    xbar, dec = matrix_sets.validate_psd_low_rank(xbar, s, "Xbar")
     if xbar.shape[0] != m:
         raise ValueError("Xbar dimension mismatch")
     s = int(s)
@@ -256,15 +266,20 @@ def certify_span_low_rank_psd(
     kernel = [
         symmetrize((c @ span.basis).reshape(m, m)) for c in null
     ]  # basis of {Y in span : Xbar Y = 0}
-    witness, how = _falsify_matrix_branch(
-        kernel, m, s, rng_seed, n_starts, n_steps
-    )
+    if numerical_rank(dec.lam) == s:
+        witness = kernel[0] / float(np.linalg.norm(kernel[0]))
+        method, seed = "exact-linear", None
+        details = (f"Xbar has maximal rank s = {s}, so a nonzero annihilating "
+                   f"span element has rank at most m - s = {m - s}")
+    else:
+        witness, how = _falsify_matrix_branch(kernel, m, s, rng_seed, n_starts, n_steps)
+        method, seed = "falsification-search", rng_seed
+        details = f"witness found by {how}"
     if witness is not None:
         if not matrix_sets.normal_cone_contains(xbar, -witness, s).is_member:
             raise AssertionError("matrix witness fails the normal-cone test")
         return RegularityCertificate(
-            "not_regular", witness, "falsification-search",
-            f"witness found by {how}", seed=rng_seed, diagnostics=diag,
+            "not_regular", witness, method, details, seed=seed, diagnostics=diag,
         )
     diag["starts"] = n_starts
     diag["steps"] = n_steps
@@ -424,24 +439,23 @@ def _completion_constraint_matrix(inst: "_edm.PartialEdm", block_x: np.ndarray):
     violations of a completion instance.
 
     Unknowns: the known upper-triangle entries of a symmetric matrix Y (zero
-    elsewhere).  Constraints: the transform of Y must vanish on its border
-    row/column, and the transformed block must be annihilated by the block of
-    the solution.
+    elsewhere), in row-major order, returned as index arrays ``(iu, ju)``.
+    Constraints: the transform of Y must vanish on its border row/column,
+    and the transformed block must be annihilated by the block of the
+    solution.  The transforms of all unit unknowns are one batched product.
     """
     n = inst.n_points
-    mb = n - 1
-    g = _edm.householder_map(n)
-    unknowns = [(i, j) for i in range(n) for j in range(i, n) if inst.known[i, j]]
-    cols = []
-    for (i, j) in unknowns:
-        basis = np.zeros((n, n))
-        basis[i, j] = 1.0
-        basis[j, i] = 1.0
-        ty = g.apply(basis)
-        border = ty[-1, :]  # last row = last column by symmetry
-        prod = block_x @ ty[:mb, :mb]
-        cols.append(np.concatenate([border, prod.ravel()]))
-    return np.stack(cols, axis=1), unknowns
+    q = _edm.householder_map(n).q
+    iu, ju = np.nonzero(np.triu(inst.known))
+    unit = np.arange(iu.size)
+    basis = np.zeros((iu.size, n, n))
+    basis[unit, iu, ju] = 1.0
+    basis[unit, ju, iu] = 1.0
+    ty = -(q @ basis @ q)
+    prod = block_x @ ty[:, : n - 1, : n - 1]
+    # the border is the last row (= last column by symmetry)
+    cols = np.concatenate([ty[:, -1, :], prod.reshape(iu.size, -1)], axis=1)
+    return cols.T, (iu, ju)
 
 
 def certify_edm_completion(inst: "_edm.PartialEdm", xbar) -> RegularityCertificate:
@@ -457,13 +471,13 @@ def certify_edm_completion(inst: "_edm.PartialEdm", xbar) -> RegularityCertifica
     """
     xbar = check_symmetric(xbar, "Xbar")
     block_x = _edm.validate_completion_point(inst, xbar)
-    l_mat, unknowns = _completion_constraint_matrix(inst, block_x)
+    l_mat, (iu, ju) = _completion_constraint_matrix(inst, block_x)
     null = null_space(l_mat)
     null_dim = null.shape[0]
     diag = {
-        "n_unknowns": len(unknowns),
+        "n_unknowns": iu.size,
         "n_constraints": int(l_mat.shape[0]),
-        "rank": len(unknowns) - null_dim,
+        "rank": iu.size - null_dim,
         "null_dim": null_dim,
     }
     if null_dim == 0:
@@ -471,12 +485,9 @@ def certify_edm_completion(inst: "_edm.PartialEdm", xbar) -> RegularityCertifica
             "regular", None, "exact-linear",
             "the violation system has trivial null space", diagnostics=diag,
         )
-    coeffs = null[-1]
-    n = inst.n_points
-    witness = np.zeros((n, n))
-    for (i, j), c in zip(unknowns, coeffs):
-        witness[i, j] = c
-        witness[j, i] = c
+    witness = np.zeros((inst.n_points, inst.n_points))
+    witness[iu, ju] = null[-1]
+    witness[ju, iu] = null[-1]
     witness = witness / float(np.linalg.norm(witness))
     if not _edm.normal_cone_data_contains(inst, xbar, witness):
         raise AssertionError("completion witness fails the data normal-cone test")

@@ -142,6 +142,22 @@ class TestNumericalRank:
         assert np.max(np.abs(null @ null.T - np.eye(3))) <= 1e-10
         assert linalg.null_space(np.eye(3)).shape == (0, 3)
 
+    @pytest.mark.parametrize("rows,cols,rank", [
+        (300, 40, 33),  # tall: the thin SVD
+        (25, 25, 20),  # square
+        (12, 30, 9),  # wide: the full SVD
+    ], ids=["tall", "square", "wide"])
+    def test_null_space_matches_full_svd(self, rng, rows, cols, rank):
+        a = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+        null = linalg.null_space(a)
+        sv, vt = np.linalg.svd(a, full_matrices=True)[1:]
+        full = vt[linalg.numerical_rank(sv):]
+        assert null.shape == (cols - linalg.numerical_rank(sv), cols) == (cols - rank, cols)
+        assert np.max(np.abs(null @ null.T - np.eye(cols - rank))) <= 1e-12
+        assert np.max(np.abs(a @ null.T)) <= 1e-10 * np.max(np.abs(a))
+        # the bits of the basis depend on the BLAS build; its projector does not
+        assert np.max(np.abs(null.T @ null - full.T @ full)) <= 1e-12
+
 
 class TestSubspace:
     def test_span_orthonormal(self, rng):

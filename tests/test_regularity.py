@@ -139,6 +139,35 @@ class TestAffineSparse:
         assert cert.diagnostics["complementary_dim"] == 0
         assert "enumerated_sets" not in cert.diagnostics
 
+    @pytest.mark.parametrize("rejected,checked,coords", [
+        ((), 1, (1, 2, 3)),
+        (((1, 2, 3),), 2, (1, 2, 4)),
+        (((1, 2, 3), (1, 2, 4), (1, 2, 5)), 10, None),
+    ], ids=["first-confirmed", "first-skipped", "all-skipped"])
+    def test_screened_set_that_fails_confirmation_is_skipped(self, rejected, checked, coords):
+        # the only normal direction vanishing on coordinate 0 is (0, 1, -1,
+        # 0, 0, 0), so of the 10 sets of 3 free coordinates, (1, 2, 3),
+        # (1, 2, 4) and (1, 2, 5) pass the screen; a confirmation that comes
+        # back empty (a disagreement at the cutoff) moves on to the next one
+        a = np.array([[0.0, 1.0, -1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 1.0, -1.0, 0.0]])
+        xbar = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        confirm = linalg.null_intersection_basis
+
+        def disagreeing(v, sel):
+            return np.zeros((0, v.ambient_dim)) if tuple(sel) in rejected else confirm(v, sel)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(regularity, "null_intersection_basis", disagreeing)
+            cert = regularity.certify_affine_sparse(a, xbar, 3)
+        assert cert.diagnostics["enumerated_sets"] == checked
+        if coords is None:
+            assert cert.verdict == "regular"
+            assert cert.witness is None
+        else:
+            assert cert.verdict == "not_regular"
+            assert str(list(coords)) in cert.details
+            assert np.allclose(np.abs(cert.witness), [0.0, 2 ** -0.5, 2 ** -0.5, 0.0, 0.0, 0.0])
+
     def test_regular_example(self):
         cert = regularity.certify_affine_sparse([[1.0, 1.0]], [1.0, 0.0], 1)
         assert cert.verdict == "regular"
@@ -235,6 +264,19 @@ class TestSpanLowRankPsd:
             [np.diag([0.0, 1.0])], np.diag([1.0, 0.0]), 1, n_starts=10, n_steps=10
         )
         assert cert.verdict == "not_regular"
+
+    def test_exact_witness_at_maximal_rank(self):
+        # rank(Xbar) = s: the annihilator diag(0, 1, -1) has its range in
+        # null(Xbar), so it has rank 2 = m - s and is a witness without a search
+        xbar = np.diag([1.0, 0.0, 0.0])
+        cert = regularity.certify_span_low_rank_psd(
+            [np.diag([0.0, 1.0, -1.0]), np.eye(3)], xbar, 1, n_starts=0, n_steps=0
+        )
+        assert (cert.verdict, cert.method) == ("not_regular", "exact-linear")
+        assert cert.seed is None
+        assert cert.diagnostics["annihilator_dim"] == 1
+        assert np.allclose(np.abs(cert.witness), np.diag([0.0, 2 ** -0.5, 2 ** -0.5]))
+        assert matrix_sets.normal_cone_contains(xbar, -cert.witness, 1).is_member
 
     def test_two_matrix_span(self):
         cert = regularity.certify_span_low_rank_psd(
