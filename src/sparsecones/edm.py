@@ -21,7 +21,7 @@ import numpy as np
 from .config import MEMBERSHIP_TOL, zero_cutoff
 from .errors import PreconditionError
 from . import matrix_sets
-from .linalg import check_symmetric, eig_sym, numerical_rank, symmetrize
+from .linalg import check_finite, check_symmetric, eig_sym, numerical_rank, symmetrize
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,8 @@ class PartialEdm:
 
     ``entries`` carries the known values (zeros elsewhere); ``known`` is the
     symmetric boolean mask, always containing the diagonal, with zero
-    diagonal values; ``s`` is the target embedding dimension.
+    diagonal values; ``s`` is the target embedding dimension.  A NaN or
+    infinite entry raises :class:`PreconditionError`.
     """
 
     n_points: int
@@ -86,6 +87,7 @@ class PartialEdm:
         known = np.asarray(self.known, dtype=bool)
         if entries.shape != (n, n) or known.shape != (n, n):
             raise ValueError("entries and known must be n_points x n_points")
+        check_finite(entries, "entries")
         if not np.array_equal(known, known.T):
             raise ValueError("known mask must be symmetric")
         if not np.all(np.diag(known)):
@@ -105,8 +107,8 @@ class PartialEdm:
 
     def known_pairs(self) -> list:
         """Sorted strict upper-triangle (i, j) pairs with known entries."""
-        n = self.n_points
-        return [(i, j) for i in range(n) for j in range(i + 1, n) if self.known[i, j]]
+        i, j = np.nonzero(np.triu(self.known, 1))
+        return list(zip(i.tolist(), j.tolist()))
 
     def known_fraction(self) -> float:
         n = self.n_points
@@ -116,15 +118,19 @@ class PartialEdm:
 
 def project_embedding_rank_core(n: int, s: int, x) -> np.ndarray:
     """Projection onto matrices whose transformed upper-left block is PSD of
-    rank at most ``s``; border entries of the transform pass through."""
+    rank at most ``s``; border entries of the transform pass through.  ``x``
+    is checked once, so the reflector is applied without the shape check of
+    :meth:`HouseholderMap.apply`; a solver iterate, symmetric bit for bit,
+    passes this check and the block's on the fast path of
+    :func:`check_symmetric`."""
     x = check_symmetric(x, "X")
     if x.shape[0] != n:
         raise ValueError("dimension mismatch")
-    g = householder_map(n)
-    y = g.apply(x)
+    q = householder_map(n).q
+    y = -(q @ x @ q)
     block = symmetrize(y[: n - 1, : n - 1])
     y[: n - 1, : n - 1] = matrix_sets.project_psd_low_rank(block, s)
-    return symmetrize(g.apply(y))
+    return symmetrize(-(q @ y @ q))
 
 
 class EdmCheck(NamedTuple):
@@ -232,11 +238,11 @@ def generate_instance(
     rng = np.random.default_rng(rng_seed)
     pts = rng.random((n, s))
     d = build_edm(pts)
+    # one draw per upper-triangle pair in row-major order, as scalar draws
+    iu, ju = np.triu_indices(n, 1)
+    hit = rng.random(iu.size) < known_fraction
     known = np.eye(n, dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < known_fraction:
-                known[i, j] = known[j, i] = True
+    known[iu[hit], ju[hit]] = known[ju[hit], iu[hit]] = True
     inst = PartialEdm(
         n_points=n, entries=np.where(known, d, 0.0), known=known, s=s
     )

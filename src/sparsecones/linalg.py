@@ -43,12 +43,18 @@ def check_symmetric(x, name: str = "matrix") -> np.ndarray:
     Asymmetry up to roundoff (1e-12 relative) is tolerated and averaged away;
     anything larger raises ``ValueError``.  NaN or infinite entries raise
     :class:`PreconditionError`.  Every public entry that takes a symmetric
-    matrix validates it here, once; inside the solver loop each embedding
-    projection runs it on the iterate and on the transformed block only.
+    matrix validates it here, once.  A bitwise-symmetric input with a finite
+    sum of squares (every completion iterate) is returned as a copy after a
+    byte comparison and one dot product, the same bits as the average.
+    Entries above about 1e154 overflow that product (numpy warns) and take
+    the full check.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError(f"{name} must be square, got shape {x.shape}")
+    v = x.ravel()
+    if x.tobytes() == x.T.tobytes() and math.isfinite(v.dot(v)):
+        return x.copy()
     scale = float(abs(x).max()) if x.size else 0.0
     if not math.isfinite(scale):
         raise PreconditionError(f"{name} has a NaN or infinite entry")

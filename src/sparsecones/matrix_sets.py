@@ -52,15 +52,16 @@ def project_psd_low_rank(x, s: int) -> np.ndarray:
     """Canonical projection onto PSD matrices of rank at most ``s``: keep the
     ``s`` largest eigenvalues clamped at zero, drop the rest.
 
-    One validation and one LAPACK ``eigh``; the result is rebuilt from the
-    top ``s`` eigenpairs alone as ``(W_s * max(lam_s, 0)) @ W_s.T``,
-    symmetrized.  A sign flip of an eigenvector cancels exactly in that
-    product, so the sign part of the :func:`eig_sym` normal form is not
-    needed.  Its tie order is needed only when the top ``s + 1`` eigenvalues
-    hold an exact tie, so only then is the normal form built.  The result is
-    the lift of ``vector_sets.top_s_nonneg`` through :func:`eig_sym` bit for
-    bit on the OpenBLAS build it was measured on; the tests check that for
-    every ``s`` at n <= 8 and n = 34.
+    One validation (its fast path on the embedding projection's block) and
+    one LAPACK ``eigh``; the result is rebuilt from the top ``s`` eigenpairs
+    alone as ``(W_s * max(lam_s, 0)) @ W_s.T``, symmetrized.  A sign flip of
+    an eigenvector cancels exactly in that product, so the sign part of the
+    :func:`eig_sym` normal form is not needed.  Its tie order is needed only
+    when the top ``s + 1`` eigenvalues hold an exact tie, so only then is
+    the normal form built.  The result is the lift of
+    ``vector_sets.top_s_nonneg`` through :func:`eig_sym` bit for bit on the
+    OpenBLAS build it was measured on; the tests check that for every ``s``
+    at n <= 8 and n = 34.
 
     The projection is set-valued only through eigenspace degeneracy; this
     returns the member produced by the deterministic eigensolver.  Use
@@ -69,8 +70,8 @@ def project_psd_low_rank(x, s: int) -> np.ndarray:
     x = check_symmetric(x)
     s = vector_sets._require_s(s, x.shape[0])
     lam, w = np.linalg.eigh(x)
-    top = lam[-(s + 1):]
-    if (top[1:] == top[:-1]).any():
+    top = lam[-(s + 1):].tolist()
+    if len(set(top)) < len(top):
         dec = eig_sym(x)
         lam, u = dec.lam[:s], dec.u[:s]
     else:

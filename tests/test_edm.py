@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sparsecones import edm
 from sparsecones.errors import PreconditionError
-from sparsecones.linalg import symmetrize
+from sparsecones.linalg import eig_sym, symmetrize
 from sparsecones.solvers import EmbeddingRankSet, FixedEntriesNonnegSet
 
 from conftest import psd_low_rank_lift, random_symmetric, symmetric_matrices
@@ -134,6 +134,33 @@ class TestPartialEdm:
         with pytest.raises(ValueError, match="nonnegative"):
             edm.PartialEdm(2, entries, mask, 1)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_entries_rejected(self, bad):
+        entries = np.zeros((3, 3))
+        entries[0, 1] = entries[1, 0] = bad
+        with pytest.raises(PreconditionError, match="entries has a NaN"):
+            edm.PartialEdm(3, entries, np.ones((3, 3), bool), 1)
+
+    @pytest.mark.parametrize(
+        "n, fraction, seed", [(3, 0.5, 0), (5, 0.7, 3), (8, 0.3, 11), (30, 0.9, 7), (41, 0.5, 2)]
+    )
+    def test_generate_matches_scalar_draws(self, n, fraction, seed):
+        # the mask as a scalar draw per upper-triangle pair, row by row
+        rng = np.random.default_rng(seed)
+        pts = rng.random((n, 2))
+        known = np.eye(n, dtype=bool)
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < fraction:
+                    known[i, j] = known[j, i] = True
+        inst, got_pts = edm.generate_instance(n, 2, fraction, seed)
+        assert np.array_equal(got_pts, pts)
+        assert np.array_equal(inst.known, known)
+        assert np.array_equal(inst.entries, np.where(known, edm.build_edm(pts), 0.0))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if known[i, j]]
+        assert inst.known_pairs() == pairs
+        assert all(type(i) is int and type(j) is int for i, j in inst.known_pairs())
+
     def test_generate_deterministic(self):
         a, pa = edm.generate_instance(6, 2, 0.7, 42)
         b, pb = edm.generate_instance(6, 2, 0.7, 42)
@@ -239,6 +266,47 @@ class TestProjections:
         y[: n - 1, : n - 1] = psd_low_rank_lift(symmetrize(y[: n - 1, : n - 1]), s)
         want = symmetrize(g.apply(y))
         assert np.array_equal(edm.project_embedding_rank_core(n, s, x), want)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_embedding_projection_matches_checked_steps(self, data):
+        # the projection against its steps written out as before the fast
+        # paths: the input and the block averaged with their transposes,
+        # the shape-checked reflector and the array tie test on the top
+        # s + 1 eigenvalues
+        n = data.draw(st.integers(2, 8))
+        s = data.draw(st.integers(0, n - 1))
+        g = edm.householder_map(n)
+        kind = data.draw(st.sampled_from(["random", "near-ties", "zero", "border"]))
+        if kind == "random":
+            x = data.draw(symmetric_matrices(n, n))
+        elif kind == "near-ties":
+            y = data.draw(symmetric_matrices(n, n))
+            y[: n - 1, : n - 1] = data.draw(symmetric_matrices(n - 1, n - 1))
+            x = symmetrize(g.apply(y))
+        elif kind == "zero":
+            # every eigenvalue of the block is exactly zero: the tie path
+            x = np.zeros((n, n))
+        else:
+            a = np.array(data.draw(st.lists(
+                st.floats(-10, 10, allow_nan=False), min_size=n, max_size=n)))
+            ones = np.ones(n)
+            x = 1e4 * (np.outer(ones, a) + np.outer(a, ones))
+            x += symmetrize(data.draw(symmetric_matrices(n, n)))
+        y = g.apply(symmetrize(x))
+        block = symmetrize(y[: n - 1, : n - 1])
+        lam, w = np.linalg.eigh(block)
+        top = lam[-(s + 1):]
+        if (top[1:] == top[:-1]).any():
+            dec = eig_sym(block)
+            lam, u = dec.lam[:s], dec.u[:s]
+        else:
+            lam, u = lam[::-1][:s], np.ascontiguousarray(w.T[::-1][:s])
+        y[: n - 1, : n - 1] = symmetrize((u.T * np.maximum(lam, 0.0)) @ u)
+        want = symmetrize(g.apply(y))
+        got = edm.project_embedding_rank_core(n, s, x)
+        assert got.tobytes() == want.tobytes()
+        assert EmbeddingRankSet(n, s).project(x).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("entry", ["core", "set"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

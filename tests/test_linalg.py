@@ -19,6 +19,8 @@ class TestCheckSymmetric:
             linalg.check_symmetric(np.zeros(4))
         with pytest.raises(PreconditionError, match="^X has a NaN or infinite entry$"):
             linalg.check_symmetric(np.array([[0.0, np.nan], [np.nan, 0.0]]), "X")
+        with pytest.raises(PreconditionError, match="^X has a NaN or infinite entry$"):
+            linalg.check_symmetric(np.diag([1.0, -np.inf]), "X")
         with pytest.raises(
             ValueError, match=r"^X is not symmetric \(max asymmetry 5\.000e-01\)$"
         ):
@@ -34,6 +36,35 @@ class TestCheckSymmetric:
         out = linalg.check_symmetric(x)
         assert np.array_equal(out, linalg.symmetrize(x))
         assert np.array_equal(out, out.T)
+        assert out is not x
+
+
+    # entries whose squares overflow take the full check, after numpy's
+    # overflow warning from the fast path's dot product
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_same_bits_on_every_path(self, data):
+        # inputs symmetric bit for bit (signed zeros, subnormals and entries
+        # whose squares overflow included) or off by roundoff; the fast path
+        # must return what the averaging returns
+        m = data.draw(st.integers(0, 6))
+        entries = st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False, width=64),
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1.7e308]),
+        )
+        a = np.array(data.draw(st.lists(entries, min_size=m * m, max_size=m * m)))
+        x = np.triu(a.reshape(m, m))
+        x = x + np.triu(x, 1).T
+        if m > 1 and data.draw(st.booleans()):
+            x[0, 1] = np.nextafter(x[0, 1], np.inf)
+        want = 0.5 * (x + x.T)
+        if not np.isfinite(want).all() or np.abs(x - x.T).max(initial=0.0) > 1e-12 * (
+            1.0 + np.abs(x).max(initial=0.0)
+        ):
+            return
+        out = linalg.check_symmetric(x)
+        assert out.tobytes() == want.tobytes()
         assert out is not x
 
 

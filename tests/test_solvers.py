@@ -372,3 +372,107 @@ class TestTraceExport:
         s = tr.summary()
         assert s["status"] == "converged"
         assert s["iterations"] == tr.iterations
+
+
+def _reference_dr(c1, c2, x0, cfg):
+    """The DR loop written out over the sets' public ``project``, with the
+    stall rule of ``_stalled`` and numpy's norm: ``(shadow, residuals,
+    step_norms, status)``."""
+    x = np.array(x0, dtype=float)
+    residuals, steps = [], []
+    anchor = x
+    for _ in range(cfg.maxiter):
+        p = c1.project(x)
+        q = c2.project(p)
+        residuals.append(float(np.linalg.norm(p - q)))
+        if residuals[-1] <= cfg.tol:
+            return p, residuals, steps + [0.0], "converged"
+        x_next = x + c2.project(2.0 * p - x) - p
+        steps.append(float(np.linalg.norm(x_next - x)))
+        x = x_next
+        k, w = len(steps), cfg.stall_window
+        if steps[-1] <= 1e-16 * (1.0 + float(np.linalg.norm(x))):
+            return p, residuals, steps, "stalled"
+        if k >= 2 * w and k % w == 0:
+            if min(steps[-w:]) > 0.999 * min(steps[-2 * w : -w]) and (
+                float(np.linalg.norm(x - anchor)) < 0.5 * sum(steps[-w:])
+            ):
+                return p, residuals, steps, "stalled"
+        if k % w == 0:
+            anchor = x
+    return c1.project(x), residuals, steps, "maxiter"
+
+
+def _hidden_pairs_instance(seed, n=8, hidden=3):
+    """A planted planar instance with ``hidden`` distances unknown, as in
+    the edm-complete benchmark."""
+    full, _ = edm.generate_instance(n, 2, 1.0, seed)
+    iu, ju = np.triu_indices(n, 1)
+    hide = np.random.default_rng(seed).choice(iu.size, hidden, replace=False)
+    known = np.ones((n, n), dtype=bool)
+    known[iu[hide], ju[hide]] = known[ju[hide], iu[hide]] = False
+    return edm.PartialEdm(n, np.where(known, full.entries, 0.0), known, 2)
+
+
+class TestLoopMatchesReference:
+    """The solver loop against the loop written out in the test: the same
+    residuals, step norms, status and shadow, bit for bit."""
+
+    CASES = (
+        [(_hidden_pairs_instance(k), SolveConfig(tol=1e-10, stall_window=1000),
+          "converged") for k in range(20)]
+        + [(edm.generate_instance(30, 2, 0.8, 1)[0], SolveConfig(tol=1e-10), "converged"),
+           (edm.generate_instance(8, 2, 0.6, 5)[0], SolveConfig(tol=1e-10), "stalled"),
+           (_hidden_pairs_instance(3), SolveConfig(tol=1e-10, maxiter=40), "maxiter")]
+    )
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_solve_dr_and_complete_edm(self, case):
+        inst, cfg, status = self.CASES[case]
+        c1 = FixedEntriesNonnegSet.from_partial_edm(inst)
+        c2 = EmbeddingRankSet.from_partial_edm(inst)
+        ref_shadow, residuals, steps, ref_status = _reference_dr(c1, c2, inst.entries, cfg)
+        assert ref_status == status
+        for shadow, trace in (solve_dr(c1, c2, inst.entries, cfg),
+                              solvers.complete_edm(inst, cfg=cfg)):
+            assert trace.status == status
+            assert np.array_equal(trace.residuals, residuals)
+            assert np.array_equal(trace.step_norms, steps)
+            assert shadow.tobytes() == ref_shadow.tobytes()
+
+
+class TestBoundaryChecks:
+    def test_non_finite_values_rejected_at_construction(self):
+        values = np.zeros((3, 3))
+        values[0, 1] = values[1, 0] = np.nan
+        with pytest.raises(PreconditionError, match="values has a NaN"):
+            FixedEntriesNonnegSet(values, np.ones((3, 3), dtype=bool))
+        values[0, 1] = values[1, 0] = np.inf
+        with pytest.raises(PreconditionError, match="values has a NaN"):
+            FixedEntriesNonnegSet(values, np.ones((3, 3), dtype=bool))
+
+    def test_asymmetric_pair_fails_before_the_loop(self):
+        mask = np.eye(3, dtype=bool)
+        mask[0, 1] = True
+        c1 = FixedEntriesNonnegSet(np.arange(9.0).reshape(3, 3), mask)
+        with pytest.raises(ValueError, match="X is not symmetric"):
+            solve_dr(c1, EmbeddingRankSet(3, 1), np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("known", [True, False])
+    def test_non_finite_start(self, bad, known):
+        # rejected also on a known entry, which the first projection overwrites
+        inst = _hidden_pairs_instance(0)
+        i, j = np.argwhere((inst.known == known) & ~np.eye(8, dtype=bool))[0]
+        x0 = inst.entries.copy()
+        x0[i, j] = x0[j, i] = bad
+        with pytest.raises(PreconditionError, match="x0 has a NaN"):
+            solvers.complete_edm(inst, x0=x0)
+
+    def test_asymmetric_start(self):
+        inst = _hidden_pairs_instance(0)
+        i, j = np.argwhere(~inst.known)[0]
+        x0 = inst.entries.copy()
+        x0[i, j] = 1.0
+        with pytest.raises(ValueError, match="X is not symmetric"):
+            solvers.complete_edm(inst, x0=x0)
