@@ -31,18 +31,7 @@ class HouseholderMap:
     identity; it preserves the Frobenius norm."""
 
     dim: int
-    v: np.ndarray
     q: np.ndarray
-
-    @classmethod
-    def for_dim(cls, n: int) -> "HouseholderMap":
-        n = int(n)
-        if n < 1:
-            raise ValueError("dimension must be >= 1")
-        v = np.ones(n)
-        v[-1] = 1.0 + np.sqrt(n)
-        q = np.eye(n) - 2.0 * np.outer(v, v) / float(v @ v)
-        return cls(dim=n, v=v, q=q)
 
     def apply(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -54,7 +43,12 @@ class HouseholderMap:
 @lru_cache(maxsize=64)
 def householder_map(n: int) -> HouseholderMap:
     """Cached reflector map for dimension ``n``."""
-    return HouseholderMap.for_dim(n)
+    n = int(n)
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
+    v = np.ones(n)
+    v[-1] = 1.0 + np.sqrt(n)
+    return HouseholderMap(dim=n, q=np.eye(n) - 2.0 * np.outer(v, v) / float(v @ v))
 
 
 def transformed_block(x) -> np.ndarray:
@@ -109,11 +103,6 @@ class PartialEdm:
         """Sorted strict upper-triangle (i, j) pairs with known entries."""
         i, j = np.nonzero(np.triu(self.known, 1))
         return list(zip(i.tolist(), j.tolist()))
-
-    def known_fraction(self) -> float:
-        n = self.n_points
-        total = n * (n - 1) // 2
-        return len(self.known_pairs()) / total if total else 1.0
 
 
 def project_embedding_rank_core(n: int, s: int, x) -> np.ndarray:
@@ -266,15 +255,11 @@ def normal_cone_data_contains(inst: PartialEdm, xbar, w) -> bool:
     return bool(np.all(w[unknown] <= cw))
 
 
-def normal_cone_embedding_contains(
-    inst: PartialEdm, xbar, w, s: Optional[int] = None
-) -> bool:
+def normal_cone_embedding_contains(inst: PartialEdm, xbar, w) -> bool:
     """Membership of ``w`` in the normal cone to the geometry constraint at
     ``xbar``: the transform of ``w`` must vanish outside the upper-left block
-    and the block must lie in the normal cone to the PSD low-rank set at the
-    transformed block of ``xbar``."""
-    if s is None:
-        s = inst.s
+    and the block must lie in the normal cone to the PSD rank-``inst.s`` set
+    at the transformed block of ``xbar``."""
     xbar = check_symmetric(xbar, "Xbar")
     w = check_symmetric(w, "W")
     n = inst.n_points
@@ -287,7 +272,7 @@ def normal_cone_embedding_contains(
         return False
     block_x = transformed_block(xbar)
     block_w = symmetrize(tw[: n - 1, : n - 1])
-    return matrix_sets.normal_cone_contains(block_x, block_w, int(s)).is_member
+    return matrix_sets.normal_cone_contains(block_x, block_w, inst.s).is_member
 
 
 def validate_completion_point(inst: PartialEdm, xbar) -> np.ndarray:

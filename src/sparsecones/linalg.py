@@ -76,10 +76,6 @@ class EigenDecomp:
     u: np.ndarray
     lam: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.lam.shape[0]
-
     def reconstruct(self) -> np.ndarray:
         return symmetrize((self.u.T * self.lam) @ self.u)
 
@@ -179,14 +175,12 @@ def null_intersection_basis(v: Subspace, coords: Iterable[int]) -> np.ndarray:
     return c @ v.basis
 
 
-def lp_cone_point(
-    v: Subspace, zero_coords: Iterable[int] = (), feas_tol: float = 1e-9
-):
+def lp_cone_point(v: Subspace, zero_coords: Iterable[int] = ()):
     """A vector y in ``v`` with y >= 0, sum(y) = 1 and y zero on
     ``zero_coords``, or ``None`` if no such vector exists.
 
     Decided by a phase-1 simplex with Bland's rule on the equality form; the
-    feasibility margin is ``feas_tol``.
+    system counts as feasible when the phase-1 objective is at most 1e-9.
     """
     n = v.ambient_dim
     k = v.dim
@@ -214,7 +208,7 @@ def lp_cone_point(
         a_eq[f : f + len(zero), f + k :] = -b_zero.T
     a_eq[-1, :f] = 1.0
     b_eq[-1] = 1.0
-    x = _phase1_simplex(a_eq, b_eq, feas_tol=feas_tol)
+    x = _phase1_simplex(a_eq, b_eq)
     if x is None:
         return None
     y = np.zeros(n)
@@ -222,7 +216,7 @@ def lp_cone_point(
     return y
 
 
-def _phase1_simplex(a_eq, b_eq, feas_tol: float = 1e-9, maxiter: int | None = None):
+def _phase1_simplex(a_eq, b_eq):
     """Feasible point of {x >= 0 : a_eq x = b_eq} or None.
 
     Full-tableau phase-1 with artificial variables, minimizing their sum under
@@ -236,8 +230,7 @@ def _phase1_simplex(a_eq, b_eq, feas_tol: float = 1e-9, maxiter: int | None = No
     neg = b < 0
     a[neg] *= -1.0
     b[neg] *= -1.0
-    if maxiter is None:
-        maxiter = 1000 + 50 * (m + n)
+    maxiter = 1000 + 50 * (m + n)
     # tableau: [A | I | b] with phase-1 cost row beneath
     t = np.zeros((m + 1, n + m + 1))
     t[:m, :n] = a
@@ -280,7 +273,7 @@ def _phase1_simplex(a_eq, b_eq, feas_tol: float = 1e-9, maxiter: int | None = No
     else:
         raise NumericalError(f"phase-1 simplex iteration cap {maxiter} exceeded")
     objective = -t[-1, -1]
-    if objective > feas_tol:
+    if objective > 1e-9:  # the feasibility margin
         return None
     x = np.zeros(n)
     for i, j in enumerate(basis):

@@ -6,7 +6,7 @@ eigendecomposition followed by the vector module's routine on the
 eigenvalue vector: the spectrum is sorted, so the vector routine keeps the
 same entries it would keep on a diagonal matrix.  The PSD rank-``s``
 projection, the solvers' hot path, writes that lift out on the raw ``eigh``
-output with the same bits.
+output with the same bits; the PSD projection is its case ``s = n``.
 """
 
 from __future__ import annotations
@@ -35,17 +35,12 @@ def validate_psd_low_rank(x, s: int, name: str = "Xbar") -> tuple:
     return x, dec
 
 
-def _spectral_lift(x, vector_op) -> np.ndarray:
-    """Apply a vector projection to the (non-increasing) spectrum of ``x``
-    and reassemble with the same eigenvectors."""
-    dec = eig_sym(x)
-    lam = vector_op(dec.lam)
-    return symmetrize((dec.u.T * lam) @ dec.u)
-
-
 def project_psd(x) -> np.ndarray:
-    """Projection onto positive semidefinite matrices (clamp eigenvalues)."""
-    return _spectral_lift(x, vector_sets.project_nonneg)
+    """Projection onto positive semidefinite matrices (clamp eigenvalues):
+    :func:`project_psd_low_rank` at full rank, the same bits as the lift of
+    ``vector_sets.project_nonneg`` through :func:`eig_sym`."""
+    x = check_symmetric(x)
+    return project_psd_low_rank(x, x.shape[0])
 
 
 def project_psd_low_rank(x, s: int) -> np.ndarray:
@@ -83,11 +78,12 @@ def project_psd_low_rank(x, s: int) -> np.ndarray:
 
 def project_low_rank(x, s: int) -> np.ndarray:
     """Canonical projection onto symmetric matrices of rank at most ``s``:
-    keep the ``s`` eigenvalues largest in magnitude (ties broken by
-    eigenvalue order)."""
-    return _spectral_lift(
-        x, lambda lam: vector_sets.project_sparse(lam, s).canonical
-    )
+    ``vector_sets.project_sparse`` on the spectrum of ``x`` (keep the ``s``
+    eigenvalues largest in magnitude, ties broken by eigenvalue order),
+    reassembled with the same eigenvectors."""
+    dec = eig_sym(x)
+    lam = vector_sets.project_sparse(dec.lam, s).canonical
+    return symmetrize((dec.u.T * lam) @ dec.u)
 
 
 def _cut_tie(x, s: int, spectrum_op) -> bool:

@@ -15,7 +15,7 @@ linear and decided exactly by a rank computation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations, islice
 from typing import Optional
 
@@ -40,6 +40,8 @@ MAX_ENUM_DIM = 20
 ENUM_CHUNK = 4096  # coordinate sets per batched SVD; bounds the stack's memory
 FALSIFICATION_STARTS = 10_000
 FALSIFICATION_STEPS = 200
+PROX_SAMPLES = 100  # ball samples of a prox-regularity probe
+PROX_KS = (10, 100, 1000)  # spoiling-sequence indices of a prox-regularity probe
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,6 @@ def certify_affine_sparse(
     a, xbar, s: int,
     max_enum_dim: int = MAX_ENUM_DIM,
     rng_seed: int = 0,
-    n_starts: int = FALSIFICATION_STARTS,
 ) -> RegularityCertificate:
     """Strong regularity of {affine solution set of ``A x = b``, nonnegative
     ``s``-sparse vectors} at ``xbar``.
@@ -88,16 +89,16 @@ def certify_affine_sparse(
     complementary to ``xbar`` and is either nonnegative (decided by a
     feasibility LP) or supported on at most ``m - s`` coordinates (decided by
     enumerating coordinate sets, exact up to ``max_enum_dim``; above that a
-    sampling falsification runs and the verdict may be ``undecided``).  The
-    sets are screened in ``combinations`` order by the singular values of
-    one batched SVD per chunk of ``ENUM_CHUNK`` sets under the
-    :func:`numerical_rank` rule, so memory is bounded by the chunk.  Each
-    set that passes the screen is confirmed by
-    :func:`null_intersection_basis`; the first confirmed set gives the
-    witness, and its position is ``diagnostics["enumerated_sets"]``.  Both
-    branches search the row-space directions that vanish on the support
-    (``diagnostics["complementary_dim"]``); above ``max_enum_dim``, when
-    there are none, the verdict is an exact ``regular``.
+    sampling falsification of ``FALSIFICATION_STARTS`` draws runs and the
+    verdict may be ``undecided``).  The sets are screened in
+    ``combinations`` order by the singular values of one batched SVD per
+    chunk of ``ENUM_CHUNK`` sets under the :func:`numerical_rank` rule, so
+    memory is bounded by the chunk.  Each set that passes the screen is
+    confirmed by :func:`null_intersection_basis`; the first confirmed set
+    gives the witness, and its position is ``diagnostics["enumerated_sets"]``.
+    Both branches search the row-space directions that vanish on the
+    support (``diagnostics["complementary_dim"]``); above ``max_enum_dim``,
+    when there are none, the verdict is an exact ``regular``.
     """
     a = check_finite(np.atleast_2d(np.asarray(a, dtype=float)), "A")
     m = a.shape[1]
@@ -161,7 +162,7 @@ def certify_affine_sparse(
     # falsification only: sample complementary row-space directions and
     # hard-threshold them toward the sparsity branch
     rng = np.random.default_rng(rng_seed)
-    for _ in range(int(n_starts)):
+    for _ in range(FALSIFICATION_STARTS):
         y = rng.standard_normal(k) @ comp_basis
         yt = vector_sets.project_sparse(y, need).canonical
         if (
@@ -325,9 +326,7 @@ def _falsify_matrix_branch(kernel, m, s, rng_seed, n_starts, n_steps):
             if use_psd:
                 z = matrix_sets.project_psd(y)
             else:
-                z = matrix_sets.project_low_rank(y, rank_cap) if rank_cap > 0 else None
-            if z is None:
-                break
+                z = matrix_sets.project_low_rank(y, rank_cap)
             gap = float(np.linalg.norm(z - y))
             y_new = _project_span(kernel, z)
             norm = float(np.linalg.norm(y_new))
@@ -338,9 +337,8 @@ def _falsify_matrix_branch(kernel, m, s, rng_seed, n_starts, n_steps):
                 lam = eig_sym(y).lam
                 if use_psd and lam[-1] >= -tol:
                     return y, f"alternating PSD search (start {start})"
-                if not use_psd and rank_cap > 0:
-                    if numerical_rank(lam) <= rank_cap:
-                        return y, f"alternating low-rank search (start {start})"
+                if not use_psd and numerical_rank(lam) <= rank_cap:
+                    return y, f"alternating low-rank search (start {start})"
                 break
             if float(np.linalg.norm(y_new - y)) < 1e-14:
                 break
@@ -366,15 +364,14 @@ class ProxRegularityEvidence:
     member_counts: tuple = ()
 
 
-def prox_regularity_vector(
-    xbar, s: int, n_samples: int = 100, ks=(10, 100, 1000), rng_seed: int = 0
-) -> ProxRegularityEvidence:
+def prox_regularity_vector(xbar, s: int, rng_seed: int = 0) -> ProxRegularityEvidence:
     """Prox-regularity of the nonnegative ``s``-sparse set at ``xbar``:
     holds exactly at maximal sparsity.
 
-    Evidence: at maximal sparsity, all sampled points in the ball of radius
-    half the smallest positive entry have single-valued projections; below
-    it, points of the spoiling sequence have at least two projection members.
+    Evidence: at maximal sparsity, all ``PROX_SAMPLES`` sampled points in the
+    ball of radius half the smallest positive entry have single-valued
+    projections; below it, the points ``xbar + v / k`` of the spoiling
+    sequence, ``k`` in ``PROX_KS``, have at least two projection members.
     """
     xbar = vector_sets.validate_nonneg_sparse(xbar, s)
     m = xbar.size
@@ -387,32 +384,29 @@ def prox_regularity_vector(
         delta = 0.5 * float(np.min(positive))
         rng = np.random.default_rng(rng_seed)
         all_single = True
-        for _ in range(int(n_samples)):
+        for _ in range(PROX_SAMPLES):
             u = rng.standard_normal(m)
             u *= rng.random() * delta / float(np.linalg.norm(u))
             res = vector_sets.project_sparse_nonneg(xbar + u, s)
             if res.member_count != 1:
                 all_single = False
         return ProxRegularityEvidence(
-            True, k0, delta=delta, n_samples=int(n_samples), all_singleton=all_single
+            True, k0, delta=delta, n_samples=PROX_SAMPLES, all_singleton=all_single
         )
     zeros = np.setdiff1d(np.arange(m), vector_sets.support_indices(xbar))
     pick = zeros[: s - k0 + 1]  # at least two coordinates
     v = np.zeros(m)
     v[pick] = 1.0
     counts = []
-    for k in ks:
+    for k in PROX_KS:
         res = vector_sets.project_sparse_nonneg(xbar + v / float(k), s)
         counts.append(res.member_count)
     return ProxRegularityEvidence(
-        False, k0, sequence_ks=tuple(int(k) for k in ks),
-        member_counts=tuple(counts),
+        False, k0, sequence_ks=PROX_KS, member_counts=tuple(counts)
     )
 
 
-def prox_regularity_matrix(
-    xbar, s: int, n_samples: int = 100, ks=(10, 100, 1000), rng_seed: int = 0
-) -> ProxRegularityEvidence:
+def prox_regularity_matrix(xbar, s: int, rng_seed: int = 0) -> ProxRegularityEvidence:
     """Prox-regularity of the PSD rank-at-most-``s`` set at ``Xbar``: holds
     exactly at maximal rank.  Evidence is produced by the vector probe on the
     eigenvalue vector (the diagonal case of the constraint)."""
@@ -422,16 +416,8 @@ def prox_regularity_matrix(
     rank = numerical_rank(lam)
     lam[rank:] = 0.0  # the spectrum is non-increasing
     # the vector probe checks the range of s against m = len(lam)
-    ev = prox_regularity_vector(lam, s, n_samples=n_samples, ks=ks, rng_seed=rng_seed)
-    return ProxRegularityEvidence(
-        prox_regular=(rank == s),
-        rank_or_sparsity=rank,
-        delta=ev.delta,
-        n_samples=ev.n_samples,
-        all_singleton=ev.all_singleton,
-        sequence_ks=ev.sequence_ks,
-        member_counts=ev.member_counts,
-    )
+    ev = prox_regularity_vector(lam, s, rng_seed=rng_seed)
+    return replace(ev, prox_regular=(rank == s), rank_or_sparsity=rank)
 
 
 def _completion_constraint_matrix(inst: "_edm.PartialEdm", block_x: np.ndarray):

@@ -24,17 +24,15 @@ from .linalg import check_finite
 
 class ConstraintSet:
     """A feasibility constraint exposing a canonical single-valued
-    projection.  Subclasses set ``kind`` and implement :meth:`project`;
-    ``tie_flag`` reports whether the underlying set-valued projection was
-    degenerate at the given point (optional)."""
+    projection.  Subclasses set ``kind`` and implement :meth:`project`.
+    Whether the set-valued projection is degenerate at a point is asked of
+    the set's module: ``vector_sets.project_sparse_nonneg(...).member_count``
+    or ``matrix_sets.boundary_tie``."""
 
     kind = "abstract"
 
     def project(self, x) -> np.ndarray:
         raise NotImplementedError
-
-    def tie_flag(self, x) -> bool:
-        return False
 
 
 class AffineSet(ConstraintSet):
@@ -65,10 +63,6 @@ class NonnegSparseSet(ConstraintSet):
     def project(self, x) -> np.ndarray:
         return vector_sets.top_s_nonneg(x, self.s)
 
-    def tie_flag(self, x) -> bool:
-        res = vector_sets.project_sparse_nonneg(x, self.s, member_cap=1)
-        return res.member_count > 1
-
 
 class PsdLowRankSet(ConstraintSet):
     """PSD matrices of rank at most ``s``."""
@@ -81,16 +75,16 @@ class PsdLowRankSet(ConstraintSet):
     def project(self, x) -> np.ndarray:
         return matrix_sets.project_psd_low_rank(x, self.s)
 
-    def tie_flag(self, x) -> bool:
-        return matrix_sets.boundary_tie(x, self.s)
-
 
 class FixedEntriesNonnegSet(ConstraintSet):
     """Matrices agreeing with given values on a mask, nonnegative elsewhere.
 
     This is the data constraint of distance-matrix completion; the two
     conditions are separable per entry so the projection is exact.  A NaN or
-    infinite value raises :class:`PreconditionError`.
+    infinite value raises :class:`PreconditionError`.  :meth:`project` raises
+    ``ValueError`` on an input whose shape differs from the mask's; it does
+    not check finiteness, because the solver loop checks its start once and
+    projections onto finite sets keep the iterates finite.
     """
 
     kind = "mask-nonneg"
@@ -107,6 +101,8 @@ class FixedEntriesNonnegSet(ConstraintSet):
 
     def project(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
+        if x.shape != self.mask.shape:
+            raise ValueError(f"expected shape {self.mask.shape}, got {x.shape}")
         return np.where(self.mask, self.values, np.maximum(x, 0.0))
 
 
@@ -127,9 +123,6 @@ class EmbeddingRankSet(ConstraintSet):
     def project(self, x) -> np.ndarray:
         return _edm.project_embedding_rank_core(self.dim, self.s, x)
 
-    def tie_flag(self, x) -> bool:
-        return matrix_sets.boundary_tie(_edm.transformed_block(x), self.s)
-
 
 def reflect(c: ConstraintSet, x) -> np.ndarray:
     """Reflection across the set: twice the projection minus the identity."""
@@ -149,7 +142,6 @@ class SolveConfig:
     tol: float = 1e-8
     maxiter: int = 100_000
     stall_window: int = 200
-    track_ties: bool = False
 
     def __post_init__(self):
         if not self.tol > 0.0:
@@ -183,7 +175,6 @@ class SolveTrace:
     times_ms: np.ndarray
     status: str  # "converged" | "maxiter" | "stalled"
     rate: Optional[RateEstimate] = None
-    boundary_ties: Optional[int] = None
 
     @property
     def iterations(self) -> int:
@@ -204,7 +195,7 @@ class SolveTrace:
                 )
 
     def summary(self) -> dict:
-        out = {
+        return {
             "method": self.method,
             "status": self.status,
             "iterations": self.iterations,
@@ -213,9 +204,6 @@ class SolveTrace:
                 "rho": self.rate.rho, "r2": self.rate.r2
             },
         }
-        if self.boundary_ties is not None:
-            out["boundary_ties"] = self.boundary_ties
-        return out
 
 
 def estimate_rate(trace: SolveTrace) -> RateEstimate:
@@ -346,21 +334,11 @@ def solve_dr(c1: ConstraintSet, c2: ConstraintSet, x0, cfg: SolveConfig | None =
     Returns ``(shadow, trace)`` where ``shadow`` is the first-set projection
     of the final iterate (the feasibility candidate).
     """
-    cfg = cfg or SolveConfig()
-    ties = 0
-
-    def step(n, x, p, q):
-        nonlocal ties
-        if cfg.track_ties:
-            ties += int(c1.tie_flag(x)) + int(c2.tie_flag(2.0 * p - x))
-        return x + c2.project(2.0 * p - x) - p
-
-    shadow, trace = _iterate(
-        "dr", c1, c2, x0, cfg, lambda n, x: c1.project(x), step
+    return _iterate(
+        "dr", c1, c2, x0, cfg or SolveConfig(),
+        lambda n, x: c1.project(x),
+        lambda n, x, p, q: x + c2.project(2.0 * p - x) - p,
     )
-    if cfg.track_ties:
-        trace.boundary_ties = ties
-    return shadow, trace
 
 
 def solve_map(c1: ConstraintSet, c2: ConstraintSet, x0, cfg: SolveConfig | None = None):

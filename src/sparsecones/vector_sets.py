@@ -47,8 +47,8 @@ def _as_vector(x) -> np.ndarray:
 class ProjectionResult:
     """Set-valued projection output.
 
-    ``members`` holds the full deduplicated set when its size is at most the
-    cap, otherwise just the canonical member; ``member_count`` is always the
+    ``members`` holds the full deduplicated set when its size is at most
+    ``MEMBER_CAP``, otherwise just the canonical member; ``member_count`` is always the
     true count.  All members are equidistant from the input.
     """
 
@@ -97,10 +97,10 @@ def _top_s(v, s: int):
     return cut, above, tied, keep
 
 
-def _enumerate_members(values, keep_always, tied, slots, member_cap):
+def _enumerate_members(values, keep_always, tied, slots):
     """Member vectors keeping ``keep_always`` plus ``slots`` of ``tied``."""
     total = comb(len(tied), slots)
-    if total > member_cap:
+    if total > MEMBER_CAP:
         return None, total
     members = []
     for combo in combinations(tied, slots):
@@ -111,7 +111,7 @@ def _enumerate_members(values, keep_always, tied, slots, member_cap):
     return tuple(members), total
 
 
-def project_sparse_nonneg(x, s: int, member_cap: int = MEMBER_CAP) -> ProjectionResult:
+def project_sparse_nonneg(x, s: int) -> ProjectionResult:
     """Projection onto nonnegative vectors with at most ``s`` nonzeros.
 
     Equals the sparse projection of the nonnegative part: keep the ``s``
@@ -119,11 +119,11 @@ def project_sparse_nonneg(x, s: int, member_cap: int = MEMBER_CAP) -> Projection
     value ties.  The canonical member breaks ties by the lowest index.
     """
     x = _as_vector(x)
-    res = project_sparse(np.maximum(x, 0.0), s, member_cap)
+    res = project_sparse(np.maximum(x, 0.0), s)
     return replace(res, distance=float(np.linalg.norm(x - res.canonical)))
 
 
-def project_sparse(x, s: int, member_cap: int = MEMBER_CAP) -> ProjectionResult:
+def project_sparse(x, s: int) -> ProjectionResult:
     """Projection onto vectors with at most ``s`` nonzeros (no sign
     constraint): keep the ``s`` entries largest in magnitude, enumerating all
     exact magnitude ties."""
@@ -136,7 +136,7 @@ def project_sparse(x, s: int, member_cap: int = MEMBER_CAP) -> ProjectionResult:
         return ProjectionResult((y,), y, 0.0, 1)
     slots = s - np.count_nonzero(above)
     members, total = _enumerate_members(
-        x, above, np.flatnonzero(tied).tolist(), slots, member_cap
+        x, above, np.flatnonzero(tied).tolist(), slots
     )
     canonical = np.where(keep, x, 0.0)
     if members is None:

@@ -229,9 +229,7 @@ def test_criterion_5_prox_regularity_dichotomy():
             for trial in range(10):
                 xbar = np.zeros(m)
                 xbar[rng.choice(m, size=s, replace=False)] = rng.uniform(0.3, 2.0, size=s)
-                ev = regularity.prox_regularity_vector(
-                    xbar, s, n_samples=100, rng_seed=trial
-                )
+                ev = regularity.prox_regularity_vector(xbar, s, rng_seed=trial)
                 if not (ev.prox_regular and ev.all_singleton):
                     exceptions += 1
                 k0 = int(rng.integers(0, s))

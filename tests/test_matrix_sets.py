@@ -89,6 +89,7 @@ class TestProjections:
         x = data.draw(symmetric_matrices())
         s = data.draw(st.integers(0, x.shape[0]))
         assert np.array_equal(ms.project_psd_low_rank(x, s), psd_low_rank_lift(x, s))
+        assert np.array_equal(ms.project_psd(x), psd_low_rank_lift(x, x.shape[0]))
 
     def test_psd_low_rank_is_the_spectral_lift_at_n34(self, rng):
         # at this size and s >= 32, BLAS sums a product of strided

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsecones import edm, solvers, vector_sets
+from sparsecones import edm, matrix_sets, solvers, vector_sets
 from sparsecones.errors import PreconditionError
 from sparsecones.solvers import (
     AffineSet,
@@ -301,9 +301,10 @@ class TestConstraintSets:
             assert d <= np.linalg.norm(x - z) + 1e-9
 
     def test_tie_flags(self):
-        assert NonnegSparseSet(1).tie_flag(np.array([1.0, 1.0]))
-        assert not NonnegSparseSet(1).tie_flag(np.array([2.0, 1.0]))
-        assert PsdLowRankSet(1).tie_flag(np.diag([2.0, 2.0, 0.0]))
+        project = vector_sets.project_sparse_nonneg
+        assert project(np.array([1.0, 1.0]), 1).member_count > 1
+        assert not project(np.array([2.0, 1.0]), 1).member_count > 1
+        assert matrix_sets.boundary_tie(np.diag([2.0, 2.0, 0.0]), 1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_affine_rejects_non_finite(self, bad):
@@ -321,7 +322,6 @@ class TestConstraintSets:
         x, s = case
         x = np.asarray(x, dtype=float)
         members = sparse_nonneg_projection_members(x, s)
-        assert NonnegSparseSet(s).tie_flag(x) == (len(members) > 1)
         res = vector_sets.project_sparse_nonneg(x, s)
         assert res.member_count == len(members)
         top = vector_sets.top_s_nonneg(x, s)
@@ -331,13 +331,6 @@ class TestConstraintSets:
         # lexicographic order
         first = min(members, key=lambda mem: tuple(np.flatnonzero(mem)))
         assert np.array_equal(res.canonical, first)
-
-    def test_tie_tracking(self):
-        c1 = AffineSet([[1.0, 1.0]], [2.0])
-        c2 = NonnegSparseSet(1)
-        # symmetric start keeps hitting the tie
-        _, tr = solve_dr(c1, c2, np.array([1.0, 1.0]), SolveConfig(maxiter=5, track_ties=True))
-        assert tr.boundary_ties is not None and tr.boundary_ties >= 1
 
     def test_complete_edm_output_contract(self):
         inst, pts = edm.generate_instance(6, 2, 0.7, 33)
@@ -450,6 +443,11 @@ class TestBoundaryChecks:
         values[0, 1] = values[1, 0] = np.inf
         with pytest.raises(PreconditionError, match="values has a NaN"):
             FixedEntriesNonnegSet(values, np.ones((3, 3), dtype=bool))
+
+    def test_shape_mismatch_rejected_at_projection(self):
+        c1 = FixedEntriesNonnegSet(np.zeros((3, 3)), np.eye(3, dtype=bool))
+        with pytest.raises(ValueError, match=r"expected shape \(3, 3\), got \(3,\)"):
+            c1.project(np.array([1.0, -2.0, 3.0]))
 
     def test_asymmetric_pair_fails_before_the_loop(self):
         mask = np.eye(3, dtype=bool)
