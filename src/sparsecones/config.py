@@ -3,12 +3,12 @@
 A single zero tolerance governs every support / rank / sparsity decision in
 the library, through two rules.  Supports: an entry of magnitude at most
 ``zero_tol() * (1 + scale)`` counts as zero, where ``scale`` is the max-norm
-of the containing vector or matrix (:func:`zero_cutoff`).  Ranks: an
-eigenvalue or singular value of magnitude at most
-``zero_tol() * max(1, scale)`` counts as zero, where ``scale`` is the largest
-magnitude (``linalg.numerical_rank``).  The default can be overridden with
-the ``SPARSECONES_ZERO_TOL`` environment variable or :func:`set_zero_tol`,
-which changes process-global state.
+of the containing vector or matrix (:func:`zero_cutoff`; the matrix normal
+cones judge a direction's eigenvalues by it too).  Ranks: an eigenvalue or
+singular value of magnitude at most ``zero_tol() * max(1, scale)`` counts as
+zero, where ``scale`` is the largest magnitude (``linalg.numerical_rank``).
+The default can be overridden with the ``SPARSECONES_ZERO_TOL`` environment
+variable or :func:`set_zero_tol`, which changes process-global state.
 """
 
 from __future__ import annotations
@@ -44,6 +44,5 @@ def set_zero_tol(value: float) -> None:
 
 def zero_cutoff(a) -> float:
     """Absolute cutoff below which entries of ``a`` count as zero."""
-    a = np.asarray(a, dtype=float)
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    return _zero_tol * (1.0 + scale)
+    scale = abs(np.asarray(a, dtype=float)).max(initial=0.0)
+    return _zero_tol * (1.0 + float(scale))

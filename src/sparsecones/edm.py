@@ -48,7 +48,9 @@ def householder_map(n: int) -> HouseholderMap:
         raise ValueError("dimension must be >= 1")
     v = np.ones(n)
     v[-1] = 1.0 + np.sqrt(n)
-    return HouseholderMap(dim=n, q=np.eye(n) - 2.0 * np.outer(v, v) / float(v @ v))
+    q = np.eye(n) - 2.0 * np.outer(v, v) / float(v @ v)
+    q.flags.writeable = False  # one cached array is shared by every caller
+    return HouseholderMap(dim=n, q=q)
 
 
 def transformed_block(x) -> np.ndarray:

@@ -76,9 +76,6 @@ class EigenDecomp:
     u: np.ndarray
     lam: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return symmetrize((self.u.T * self.lam) @ self.u)
-
 
 def eig_sym(x) -> EigenDecomp:
     """Eigendecomposition of a symmetric matrix by LAPACK

@@ -1,12 +1,12 @@
 """Spectral lifting of the vector results to symmetric matrices.
 
 Projections onto PSD matrices of bounded rank (and the sign-free low-rank
-set), plus normal-cone membership tests.  Every projection is one
-eigendecomposition followed by the vector module's routine on the
-eigenvalue vector: the spectrum is sorted, so the vector routine keeps the
-same entries it would keep on a diagonal matrix.  The PSD rank-``s``
-projection, the solvers' hot path, writes that lift out on the raw ``eigh``
-output with the same bits; the PSD projection is its case ``s = n``.
+set) and their normal cones.  Each projection is one eigendecomposition and
+the vector routine on the sorted spectrum; the PSD rank-``s`` projection,
+the solvers' hot path, writes that lift out on the raw ``eigh`` output with
+the same bits, and the PSD projection is its case ``s = n``.  An annihilating
+pair commutes, so each PSD cone test is the annihilation check plus the
+vector test, with its zero cutoff, on the joint spectrum.
 """
 
 from __future__ import annotations
@@ -112,12 +112,16 @@ def low_rank_tie(x, s: int) -> bool:
     return _cut_tie(x, s, lambda lam: -np.sort(-np.abs(lam)))
 
 
+_BRANCHES = {"nonpositive-branch": "nsd-branch", "sparsity-branch": "low-rank-branch"}
+
+
 @dataclass(frozen=True)
 class MatrixConeReport:
     """Normal-cone membership outcome with diagnostics.
 
     ``residual`` is the Frobenius norm of ``Xbar @ Y``; ``y_eigenvalues`` the
-    ordered spectrum of ``Y``.
+    ordered spectrum of ``Y``.  A spectral ``violated_condition`` is the
+    vector test's, on the joint spectrum.
     """
 
     is_member: bool
@@ -141,37 +145,38 @@ def _annihilation(xbar, y) -> tuple:
     return y, residual, residual <= tol
 
 
+def _joint_spectrum(xbar, y, s: int) -> tuple:
+    """Validate the pair; return ``(x, y_vec, residual, vanishes, lam_y)``.
+    An annihilating pair commutes, so ``Y`` acts on the null space of
+    ``Xbar`` in a shared eigenbasis.  ``x`` is ``lam(Xbar)`` clamped at zero
+    on its rank ``r``; ``y_vec`` puts the ``m - r`` eigenvalues of ``Y``
+    largest in magnitude in the remaining positions."""
+    xbar, dec = validate_psd_low_rank(xbar, s)
+    y, residual, vanishes = _annihilation(xbar, y)
+    m, r = xbar.shape[0], numerical_rank(dec.lam)
+    lam_y = eig_sym(y).lam
+    x, y_vec = np.zeros(m), np.zeros(m)
+    x[:r] = np.maximum(dec.lam[:r], 0.0)
+    y_vec[r:] = lam_y[np.argsort(-np.abs(lam_y), kind="stable")[: m - r]]
+    return x, y_vec, residual, vanishes, lam_y
+
+
 def normal_cone_contains(xbar, y, s: int) -> MatrixConeReport:
     """Membership of ``Y`` in the normal cone to the PSD rank-at-most-``s``
     set at ``Xbar``.
 
     The cone is the union of directions annihilating ``Xbar`` that are either
-    negative semidefinite or of rank at most ``m - s``.
+    negative semidefinite or of rank at most ``m - s``: the annihilation
+    check, then ``vector_sets.normal_cone_contains`` on the joint spectrum,
+    whose nonpositive and sparsity branches are the NSD and low-rank ones.
     """
-    xbar, _ = validate_psd_low_rank(xbar, s)
-    y, residual, vanishes = _annihilation(xbar, y)
-    m = xbar.shape[0]
-    s = int(s)
-    dec = eig_sym(y)
+    x, y_vec, residual, vanishes, lam_y = _joint_spectrum(xbar, y, s)
     if not vanishes:
-        return MatrixConeReport(
-            False, "none", residual, dec.lam, "Xbar @ Y is not zero"
-        )
-    nsd = bool(dec.lam[0] <= MEMBERSHIP_TOL * (1.0 + float(np.linalg.norm(y))))
-    rank_y = numerical_rank(dec.lam)
-    low_rank = rank_y <= m - s
-    if nsd and low_rank:
-        return MatrixConeReport(True, "both", residual, dec.lam)
-    if nsd:
-        return MatrixConeReport(True, "nsd-branch", residual, dec.lam)
-    if low_rank:
-        return MatrixConeReport(True, "low-rank-branch", residual, dec.lam)
+        return MatrixConeReport(False, "none", residual, lam_y, "Xbar @ Y is not zero")
+    rep = vector_sets.normal_cone_contains(x, y_vec, s)
+    branch = _BRANCHES.get(rep.branch, rep.branch)
     return MatrixConeReport(
-        False,
-        "none",
-        residual,
-        dec.lam,
-        f"Y is not NSD and rank(Y) = {rank_y} > m - s = {m - s}",
+        rep.is_member, branch, residual, lam_y, rep.violated_condition
     )
 
 
@@ -194,12 +199,8 @@ def low_rank_normal_cone_contains(xbar, y, s: int) -> bool:
 def prox_normal_cone_contains(xbar, y, s: int) -> bool:
     """Membership of ``Y`` in the proximal normal cone at ``Xbar``: below
     maximal rank this is the PSD-cone normal cone (``Xbar @ Y = 0`` and ``Y``
-    NSD); at maximal rank only ``Xbar @ Y = 0`` is required."""
-    xbar, dec = validate_psd_low_rank(xbar, s)
-    y, _, vanishes = _annihilation(xbar, y)
-    if not vanishes:
-        return False
-    if numerical_rank(dec.lam) == int(s):
-        return True
-    lam_max = float(eig_sym(y).lam[0])
-    return bool(lam_max <= MEMBERSHIP_TOL * (1.0 + float(np.linalg.norm(y))))
+    NSD); at maximal rank only ``Xbar @ Y = 0`` is required.  The annihilation
+    check, then ``vector_sets.prox_normal_cone_contains`` on the joint
+    spectrum."""
+    x, y_vec, _, vanishes, _ = _joint_spectrum(xbar, y, s)
+    return vanishes and vector_sets.prox_normal_cone_contains(x, y_vec, s)

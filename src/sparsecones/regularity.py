@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import MEMBERSHIP_TOL, zero_cutoff
+from .config import zero_cutoff
 from . import edm as _edm
 from . import matrix_sets, vector_sets
 from .linalg import (
@@ -299,18 +299,18 @@ def _project_span(kernel, y):
 
 
 def _falsify_matrix_branch(kernel, m, s, rng_seed, n_starts, n_steps):
-    """Search the annihilating subspace for a nonzero PSD element or one of
+    """Search the annihilating subspace for a nonzero element that is PSD
+    under :func:`zero_cutoff`, the rule of the normal-cone re-check, or of
     rank at most m - s.  Returns (witness, description) or (None, None)."""
     rng = np.random.default_rng(rng_seed)
     k = len(kernel)
-    tol = MEMBERSHIP_TOL
     rank_cap = m - s
     # quick wins: basis elements and their negatives
     candidates = [b for b in kernel] + [-b for b in kernel]
     for y in candidates:
         y = y / float(np.linalg.norm(y))
         lam = eig_sym(y).lam
-        if lam[-1] >= -tol:
+        if lam[-1] >= -zero_cutoff(lam):
             return y, "a PSD kernel basis element"
         if rank_cap > 0 and numerical_rank(lam) <= rank_cap:
             return y, "a low-rank kernel basis element"
@@ -335,7 +335,7 @@ def _falsify_matrix_branch(kernel, m, s, rng_seed, n_starts, n_steps):
             y_new = y_new / norm
             if gap <= 1e-11:
                 lam = eig_sym(y).lam
-                if use_psd and lam[-1] >= -tol:
+                if use_psd and lam[-1] >= -zero_cutoff(lam):
                     return y, f"alternating PSD search (start {start})"
                 if not use_psd and numerical_rank(lam) <= rank_cap:
                     return y, f"alternating low-rank search (start {start})"

@@ -131,10 +131,15 @@ def reflect(c: ConstraintSet, x) -> np.ndarray:
 
 
 def dr_step(c1: ConstraintSet, c2: ConstraintSet, x) -> np.ndarray:
-    """One Douglas-Rachford step: average of the identity and the
-    composition of the two reflections."""
+    """One Douglas-Rachford step, the average of the identity and the
+    composition of the two reflections, written ``x + P2(2p - x) - p`` with
+    ``p = P1 x``: the update :func:`solve_dr` iterates, bit for bit."""
     x = np.asarray(x, dtype=float)
-    return 0.5 * (x + reflect(c2, reflect(c1, x)))
+    return _dr_update(c2, x, c1.project(x))
+
+
+def _dr_update(c2: ConstraintSet, x, p) -> np.ndarray:
+    return x + c2.project(2.0 * p - x) - p
 
 
 @dataclass(frozen=True)
@@ -337,7 +342,7 @@ def solve_dr(c1: ConstraintSet, c2: ConstraintSet, x0, cfg: SolveConfig | None =
     return _iterate(
         "dr", c1, c2, x0, cfg or SolveConfig(),
         lambda n, x: c1.project(x),
-        lambda n, x, p, q: x + c2.project(2.0 * p - x) - p,
+        lambda n, x, p, q: _dr_update(c2, x, p),
     )
 
 

@@ -31,7 +31,7 @@ _BRANCH_SPARSITY = "sparsity-branch"
 def support_indices(x) -> np.ndarray:
     """Indices of entries that are nonzero under the global tolerance."""
     x = np.asarray(x, dtype=float)
-    return np.flatnonzero(np.abs(x) > zero_cutoff(x))
+    return np.flatnonzero(abs(x) > zero_cutoff(x))
 
 
 def sparsity(x) -> int:
@@ -166,25 +166,22 @@ def decomposition_check(x, y, s: int) -> bool:
     y = _as_vector(y)
     if x.shape != y.shape:
         raise ValueError("x and y must have equal length")
-    m = x.size
-    s = _require_s(s, m)
+    s = _require_s(s, x.size)
     z = x - y
     cy = zero_cutoff(y)
+    on_y = abs(y) > cy
     if s == 0:
-        return bool(np.all(np.abs(y) <= cy))
+        return not np.count_nonzero(on_y)
     # y in the set: nonnegative up to tolerance, at most s nonzeros
-    if np.min(y, initial=0.0) < -cy:
+    if np.count_nonzero(y < -cy):
         return False
-    if sparsity(y) > s:
+    if np.count_nonzero(on_y) > s:
         return False
     # disjoint supports
-    cz = zero_cutoff(z)
-    if np.any((np.abs(y) > cy) & (np.abs(z) > cz)):
+    if np.count_nonzero(on_y & (abs(z) > zero_cutoff(z))):
         return False
-    ys = _cut(y, s)
-    z1 = float(np.max(z)) if m else 0.0
-    slack = 1e-12 * (1.0 + float(np.max(np.abs(x))))
-    return bool(ys >= z1 - slack)
+    slack = 1e-12 * (1.0 + float(abs(x).max()))
+    return bool(_cut(y, s) >= float(z.max()) - slack)
 
 
 def validate_nonneg_sparse(x, s: int, name: str = "xbar") -> np.ndarray:
@@ -277,47 +274,10 @@ def normal_cone_contains(xbar, y, s: int) -> ConeMembershipReport:
 def prox_normal_cone_contains(xbar, y, s: int) -> bool:
     """Membership of ``y`` in the proximal normal cone at ``xbar``: the
     nonnegative-orthant cone below maximal sparsity, the full normal cone at
-    maximal sparsity."""
-    xbar = validate_nonneg_sparse(xbar, s)
-    y = _as_vector(y)
-    if xbar.shape != y.shape:
-        raise ValueError("xbar and y must have equal length")
-    cx = zero_cutoff(xbar)
-    cy = zero_cutoff(y)
-    if np.any((np.abs(xbar) > cx) & (np.abs(y) > cy)):
-        return False
-    if sparsity(xbar) == s:
-        return True
-    return bool(np.max(y, initial=0.0) <= cy)
-
-
-def normal_cone_sample(xbar, s: int, count: int, rng_seed: int) -> list:
-    """Deterministic sample of normal-cone members at ``xbar``.
-
-    Alternates between the nonpositive and sparsity branches whenever both
-    are nontrivial, and occasionally emits the zero vector.  Every output
-    passes :func:`normal_cone_contains`.
-    """
-    xbar = validate_nonneg_sparse(xbar, s)
-    m = xbar.size
-    s = int(s)
-    rng = np.random.default_rng(rng_seed)
-    free = np.setdiff1d(np.arange(m), support_indices(xbar))
-    sparse_cap = min(m - s, free.size)
-    out = []
-    for i in range(int(count)):
-        if free.size == 0 or rng.random() < 1.0 / 16.0:
-            out.append(np.zeros(m))
-            continue
-        use_sparse = sparse_cap > 0 and (i % 2 == 1)
-        y = np.zeros(m)
-        if use_sparse:
-            k = int(rng.integers(1, sparse_cap + 1))
-            idx = rng.choice(free, size=k, replace=False)
-            y[idx] = rng.standard_normal(k)
-        else:
-            k = int(rng.integers(1, free.size + 1))
-            idx = rng.choice(free, size=k, replace=False)
-            y[idx] = -np.abs(rng.standard_normal(k))
-        out.append(y)
-    return out
+    maximal sparsity.  That is the normal cone without its sparsity branch
+    below maximal sparsity; at maximal sparsity every complementary ``y``
+    has at most ``m - s`` nonzeros, so the branches already agree."""
+    rep = normal_cone_contains(xbar, y, s)
+    return rep.is_member and (
+        rep.branch != _BRANCH_SPARSITY or sparsity(xbar) == int(s)
+    )

@@ -29,6 +29,11 @@ class TestHouseholderMap:
         with pytest.raises(ValueError):
             g.apply(np.zeros((3, 3)))
 
+    def test_cached_reflector_is_read_only(self):
+        # every caller shares the cached array, so a write must fail
+        with pytest.raises(ValueError):
+            edm.householder_map(4).q[0, 0] += 1.0
+
 
 class TestBuildAndCheck:
     def test_two_points(self):

@@ -186,6 +186,49 @@ class TestNormalCone:
             assert got.is_member == want.is_member
 
 
+    def test_nsd_tolerance_is_the_vector_zero_cutoff(self):
+        # 5e-10 lies above the vector cutoff zero_tol * (1 + max|y|) = 2e-10,
+        # so the lift reads it as a positive eigenvalue: Y is neither NSD
+        # nor of rank at most m - s = 1
+        xbar = np.diag([1.0, 0.0, 0.0])
+        y = np.diag([0.0, 5e-10, -1.0])
+        rep = ms.normal_cone_contains(xbar, y, 2)
+        assert not rep.is_member and rep.branch == "none"
+        assert not ms.prox_normal_cone_contains(xbar, y, 2)
+        assert not vs.normal_cone_contains([1.0, 0.0, 0.0], [0.0, 5e-10, -1.0], 2).is_member
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_is_the_vector_cone_on_the_joint_spectrum(self, data):
+        """Signed-permutation conjugates of integer diagonals, mixed by the
+        exact orthogonal half-Hadamard on four coordinates when drawn."""
+        m = data.draw(st.integers(1, 6))
+        s = data.draw(st.integers(0, m))
+        k = data.draw(st.integers(0, s))
+        xv = np.zeros(m)
+        xv[:k] = data.draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+        yv = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m)),
+                      dtype=float)
+        if data.draw(st.booleans()):
+            yv[:k] = 0.0  # annihilating
+        perm = data.draw(st.permutations(range(m)))
+        signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=m, max_size=m))
+        q = np.eye(m)[perm] * np.array(signs)[:, None]
+        if m >= 4 and data.draw(st.booleans()):
+            h = np.eye(m)
+            h[:4, :4] = 0.5 * np.array(
+                [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
+            )
+            q = q @ h
+        xbar, y = q @ np.diag(xv) @ q.T, q @ np.diag(yv) @ q.T
+        want = vs.normal_cone_contains(xv, yv, s)
+        got = ms.normal_cone_contains(xbar, y, s)
+        branches = {"nonpositive-branch": "nsd-branch", "sparsity-branch": "low-rank-branch"}
+        assert got.is_member == want.is_member
+        assert got.branch == branches.get(want.branch, want.branch)
+        assert ms.prox_normal_cone_contains(xbar, y, s) == vs.prox_normal_cone_contains(xv, yv, s)
+
+
 class TestLowRankNormalCone:
     def test_examples(self):
         xbar = np.diag([1.0, 0.0])

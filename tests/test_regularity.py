@@ -278,6 +278,17 @@ class TestSpanLowRankPsd:
         assert np.allclose(np.abs(cert.witness), np.diag([0.0, 2 ** -0.5, 2 ** -0.5]))
         assert matrix_sets.normal_cone_contains(xbar, -cert.witness, 1).is_member
 
+    def test_search_accepts_psd_by_the_cone_cutoff(self):
+        # the one annihilating direction has an eigenvalue -5e-10, below the
+        # cone test's zero cutoff 2e-10: it is not PSD, so the search finds
+        # no witness, where a 1e-9 acceptance rule built one that the
+        # normal-cone re-check then rejects
+        cert = regularity.certify_span_low_rank_psd(
+            [np.diag([0.0, 1.0, -5e-10])], np.diag([1.0, 0.0, 0.0]), 2,
+            n_starts=4, n_steps=20,
+        )
+        assert cert.verdict == "undecided"
+
     def test_two_matrix_span(self):
         cert = regularity.certify_span_low_rank_psd(
             [np.diag([0.0, 1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])],

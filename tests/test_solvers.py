@@ -68,7 +68,34 @@ class TestReflect:
         assert np.allclose(reflect(c, reflect(c, x)), x, atol=1e-9)
 
 
+class _Recording(solvers.ConstraintSet):
+    """A set that records every point it is asked to project."""
+
+    def __init__(self, inner):
+        self.inner, self.seen = inner, []
+
+    def project(self, x):
+        self.seen.append(np.array(x, dtype=float))
+        return self.inner.project(x)
+
+
 class TestDrStep:
+    @pytest.mark.parametrize("pair", ["edm", "sparse"])
+    def test_is_one_solve_dr_update(self, pair):
+        if pair == "edm":
+            inst, _ = edm.generate_instance(8, 2, 0.7, rng_seed=3)
+            c1 = FixedEntriesNonnegSet.from_partial_edm(inst)
+            c2 = EmbeddingRankSet.from_partial_edm(inst)
+            x0 = inst.entries
+        else:
+            a, b, x_true = solvers.plant_sparse_instance(40, 4, 20, rng_seed=3)
+            c1, c2 = AffineSet(a, b), NonnegSparseSet(4)
+            x0 = x_true + 0.3 * np.random.default_rng(4).standard_normal(40)
+        rec = _Recording(c1)
+        solve_dr(rec, c2, x0, SolveConfig(maxiter=2))
+        # the first projection of iteration 1 receives the first update
+        assert rec.seen[1].tobytes() == dr_step(c1, c2, x0).tobytes()
+
     def test_identity_on_full_space(self, rng):
         c = AffineSet(np.zeros((1, 3)), [0.0])  # the whole space
         x = rng.standard_normal(3)

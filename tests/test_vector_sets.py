@@ -309,41 +309,6 @@ class TestValidation:
                 call()
 
 
-class TestNormalConeSample:
-    def test_all_members_and_coverage(self, rng):
-        for trial in range(30):
-            m = int(rng.integers(2, 8))
-            s = int(rng.integers(1, m + 1))
-            xbar = np.zeros(m)
-            k = int(rng.integers(0, s + 1))
-            xbar[rng.choice(m, size=k, replace=False)] = rng.uniform(0.5, 2.0, size=k)
-            samples = vs.normal_cone_sample(xbar, s, 40, rng_seed=trial)
-            assert len(samples) == 40
-            branches = set()
-            for y in samples:
-                rep = vs.normal_cone_contains(xbar, y, s)
-                assert rep.is_member
-                branches.add(rep.branch)
-            if s < m and np.any(xbar == 0.0):
-                # both branches nontrivial: the sampler must cover them
-                assert len(branches - {"both"}) >= 2 or "both" in branches
-
-    def test_maximal_sparsity_complementary_only(self):
-        xbar = np.array([1.0, 2.0, 0.0])
-        for y in vs.normal_cone_sample(xbar, 2, 30, rng_seed=0):
-            assert np.all(y[:2] == 0.0)
-
-    def test_s_equals_m_nonpositive(self):
-        xbar = np.array([1.0, 0.0, 2.0])
-        for y in vs.normal_cone_sample(xbar, 3, 30, rng_seed=1):
-            assert np.all(y <= 0.0)
-
-    def test_deterministic(self):
-        a = vs.normal_cone_sample([1.0, 0.0, 0.0], 1, 10, rng_seed=7)
-        b = vs.normal_cone_sample([1.0, 0.0, 0.0], 1, 10, rng_seed=7)
-        assert all(np.array_equal(u, v) for u, v in zip(a, b))
-
-
 class TestLimitingSequences:
     """The constructive sequences behind the normal-cone formula."""
 
