@@ -147,17 +147,17 @@ def _annihilation(xbar, y) -> tuple:
 
 def _joint_spectrum(xbar, y, s: int) -> tuple:
     """Validate the pair; return ``(x, y_vec, residual, vanishes, lam_y)``.
-    An annihilating pair commutes, so ``Y`` acts on the null space of
-    ``Xbar`` in a shared eigenbasis.  ``x`` is ``lam(Xbar)`` clamped at zero
-    on its rank ``r``; ``y_vec`` puts the ``m - r`` eigenvalues of ``Y``
-    largest in magnitude in the remaining positions."""
+    An annihilating pair commutes.  The vector cones read ``x`` only by its
+    support: the first ``r = rank(Xbar)`` entries.  ``y_vec`` is the spectrum
+    of ``Y`` by increasing magnitude; complementarity needs its ``r`` smallest
+    to vanish, as ``Y`` must on the range of ``Xbar``."""
     xbar, dec = validate_psd_low_rank(xbar, s)
     y, residual, vanishes = _annihilation(xbar, y)
     m, r = xbar.shape[0], numerical_rank(dec.lam)
     lam_y = eig_sym(y).lam
-    x, y_vec = np.zeros(m), np.zeros(m)
-    x[:r] = np.maximum(dec.lam[:r], 0.0)
-    y_vec[r:] = lam_y[np.argsort(-np.abs(lam_y), kind="stable")[: m - r]]
+    x = np.zeros(m)
+    x[:r] = 1.0
+    y_vec = lam_y[np.argsort(abs(lam_y), kind="stable")]
     return x, y_vec, residual, vanishes, lam_y
 
 

@@ -125,7 +125,7 @@ class EmbeddingRankSet(ConstraintSet):
 
 
 def reflect(c: ConstraintSet, x) -> np.ndarray:
-    """Reflection across the set: twice the projection minus the identity."""
+    """Reflection 2P - I across the set; public, as the paper writes DR with it."""
     x = np.asarray(x, dtype=float)
     return 2.0 * c.project(x) - x
 

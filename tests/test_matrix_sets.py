@@ -185,7 +185,6 @@ class TestNormalCone:
             got = ms.normal_cone_contains(np.diag(xv), np.diag(yv), s)
             assert got.is_member == want.is_member
 
-
     def test_nsd_tolerance_is_the_vector_zero_cutoff(self):
         # 5e-10 lies above the vector cutoff zero_tol * (1 + max|y|) = 2e-10,
         # so the lift reads it as a positive eigenvalue: Y is neither NSD
@@ -196,6 +195,16 @@ class TestNormalCone:
         assert not rep.is_member and rep.branch == "none"
         assert not ms.prox_normal_cone_contains(xbar, y, 2)
         assert not vs.normal_cone_contains([1.0, 0.0, 0.0], [0.0, 5e-10, -1.0], 2).is_member
+
+    def test_eigenvalues_on_the_range_of_xbar_must_vanish(self):
+        # the rank rule counts 5e-10, so rank(Xbar) = 2; the residual 5e-10
+        # passes the annihilation tolerance, yet Y is -1 or 1 on that
+        # eigenvector of Xbar, so Y does not vanish on its range
+        xbar = np.diag([1.0, 5e-10, 0.0])
+        for yv in ([0.0, 1.0, 1.0], [0.0, -1.0, -1.0]):
+            rep = ms.normal_cone_contains(xbar, np.diag(yv), 2)
+            assert rep.residual <= 1e-9 and not rep.is_member and rep.branch == "none"
+            assert not ms.prox_normal_cone_contains(xbar, np.diag(yv), 2)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.data())
@@ -260,6 +269,15 @@ class TestProxNormalCone:
             got = ms.prox_normal_cone_contains(xbar, y, 2)
             want = ms.low_rank_normal_cone_contains(xbar, y, 2)
             assert got == want
+
+    def test_maximal_rank_is_the_rank_rule(self):
+        # the rank rule counts 1.5e-10 (rank 2 = s) though it lies under the
+        # zero cutoff 2e-10 of the spectrum; at maximal rank Xbar @ Y = 0 is
+        # the whole condition
+        xbar = np.diag([1.0, 1.5e-10, 0.0])
+        y = np.diag([0.0, 0.0, 1.0])
+        assert ms.low_rank_normal_cone_contains(xbar, y, 2)
+        assert ms.prox_normal_cone_contains(xbar, y, 2)
 
     def test_zero_member(self, rng):
         xbar = random_psd_low_rank(rng, 3, 1)
