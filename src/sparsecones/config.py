@@ -3,12 +3,13 @@
 A single zero tolerance governs every support / rank / sparsity decision in
 the library, through two rules.  Supports: an entry of magnitude at most
 ``zero_tol() * (1 + scale)`` counts as zero, where ``scale`` is the max-norm
-of the containing vector or matrix (:func:`zero_cutoff`; the matrix normal
-cones judge a direction's eigenvalues by it too).  Ranks: an eigenvalue or
+of the containing vector or matrix (:func:`zero_cutoff`; every normal-cone
+test judges entries and eigenvalues by it).  Ranks: an eigenvalue or
 singular value of magnitude at most ``zero_tol() * max(1, scale)`` counts as
-zero, where ``scale`` is the largest magnitude (``linalg.numerical_rank``).
-The default can be overridden with the ``SPARSECONES_ZERO_TOL`` environment
-variable or :func:`set_zero_tol`, which changes process-global state.
+zero, where ``scale`` is the largest magnitude (``linalg.numerical_rank``);
+a PSD point's rank is that of its spectrum clamped at zero.  The default can
+be overridden with the ``SPARSECONES_ZERO_TOL`` environment variable or
+:func:`set_zero_tol`, which changes process-global state.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ import numpy as np
 
 DEFAULT_ZERO_TOL = 1e-10
 
-# Looser tolerance for residual-style membership checks (products that should
-# vanish, PSD-ness of computed matrices).
+# Looser tolerance for residual-style checks: the PSD-point rule
+# (matrix_sets.psd_spectrum), products and borders that should vanish in the
+# matrix and EDM embedding cones, and eigenvalue ties (boundary_tie).
 MEMBERSHIP_TOL = 1e-9
 
 _zero_tol = float(os.environ.get("SPARSECONES_ZERO_TOL", DEFAULT_ZERO_TOL))

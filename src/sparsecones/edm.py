@@ -6,7 +6,8 @@ dimension.  Completion is the two-set feasibility problem between the data
 constraint (known entries fixed, everything nonnegative) and the geometry
 constraint (the transformed upper-left block PSD of rank at most ``s``).  The
 transform is conjugation by a fixed Householder reflector, a linear isometric
-involution.
+involution.  Whether the block is a PSD point, and its rank, is decided by
+``matrix_sets.psd_spectrum``; the data normal cone is the vector orthant cone.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import numpy as np
 
 from .config import MEMBERSHIP_TOL, zero_cutoff
 from .errors import PreconditionError
-from . import matrix_sets
-from .linalg import check_finite, check_symmetric, eig_sym, numerical_rank, symmetrize
+from . import matrix_sets, vector_sets
+from .linalg import check_finite, check_symmetric, eig_sym, symmetrize
 
 
 @dataclass(frozen=True)
@@ -129,14 +130,10 @@ class EdmCheck(NamedTuple):
     embed_dim: int
 
 
-def is_edm(x) -> EdmCheck:
-    """Whether a hollow nonnegative matrix is a Euclidean distance matrix,
-    and its irreducible embedding dimension (the rank of the transformed
-    block).
-
-    Raises ``ValueError`` naming the offending entry when the input is not
-    hollow or has a negative entry.
-    """
+def _block_spectrum(x) -> tuple:
+    """:func:`matrix_sets.psd_spectrum` of the transformed block of ``x``,
+    after checking that ``x`` is hollow and nonnegative (``ValueError``
+    naming the offending entry)."""
     x = check_symmetric(x, "X")
     n = x.shape[0]
     cut = zero_cutoff(x)
@@ -147,12 +144,19 @@ def is_edm(x) -> EdmCheck:
     if neg.size:
         i, j = map(int, neg[0])
         raise ValueError(f"matrix has a negative entry: ({i},{j}) = {x[i, j]!r}")
-    if n == 1:
-        return EdmCheck(True, 0)
-    block = transformed_block(x)
-    lam = eig_sym(block).lam
-    psd = bool(lam[-1] >= -MEMBERSHIP_TOL * (1.0 + float(np.linalg.norm(block))))
-    return EdmCheck(psd, numerical_rank(np.maximum(lam, 0.0)))
+    return matrix_sets.psd_spectrum(transformed_block(x))
+
+
+def is_edm(x) -> EdmCheck:
+    """Whether a hollow nonnegative matrix is a Euclidean distance matrix,
+    and its irreducible embedding dimension: whether the transformed block
+    is a PSD point, and its rank (:func:`matrix_sets.psd_spectrum`).
+
+    Raises ``ValueError`` naming the offending entry when the input is not
+    hollow or has a negative entry.
+    """
+    _, psd, rank = _block_spectrum(x)
+    return EdmCheck(psd, rank)
 
 
 def build_edm(points) -> np.ndarray:
@@ -178,20 +182,15 @@ def recover_points(x, s: int) -> np.ndarray:
     at the origin, axes aligned with the principal directions, first
     significant coordinate of each axis positive.
     """
-    x = check_symmetric(x, "X")
-    n = x.shape[0]
     s = int(s)
-    check = is_edm(x)
-    if not check.is_edm:
+    dec, psd, rank = _block_spectrum(x)
+    if not psd:
         raise ValueError("matrix is not a Euclidean distance matrix")
-    if check.embed_dim > s:
-        raise ValueError(
-            f"embedding dimension {check.embed_dim} exceeds requested s = {s}"
-        )
+    if rank > s:
+        raise ValueError(f"embedding dimension {rank} exceeds requested s = {s}")
+    n = dec.lam.size + 1
     if s == 0 or n == 1:
         return np.zeros((n, max(s, 0)))
-    block = transformed_block(x)
-    dec = eig_sym(block)
     k = min(s, n - 1)
     lam = np.maximum(dec.lam[:k], 0.0)
     # rows of factor: sqrt(lam/2) * eigenvector; block = 2 * factor^T factor
@@ -242,19 +241,15 @@ def generate_instance(
 
 def normal_cone_data_contains(inst: PartialEdm, xbar, w) -> bool:
     """Membership of ``w`` in the normal cone to the data constraint at
-    ``xbar``: on unknown entries, ``w`` must be nonpositive and must vanish
-    wherever ``xbar`` is strictly positive."""
+    ``xbar``: the orthant cone ``vector_sets.normal_cone_contains`` at full
+    sparsity on the unknown entries, where ``xbar`` must be nonnegative."""
     xbar = check_symmetric(xbar, "Xbar")
     w = check_symmetric(w, "W")
     if xbar.shape[0] != inst.n_points or w.shape[0] != inst.n_points:
         raise ValueError("dimension mismatch with the instance")
     unknown = ~inst.known
-    cx = zero_cutoff(xbar)
-    cw = MEMBERSHIP_TOL * (1.0 + float(np.max(np.abs(w), initial=0.0)))
-    pos = unknown & (xbar > cx)
-    if np.any(np.abs(w[pos]) > cw):
-        return False
-    return bool(np.all(w[unknown] <= cw))
+    cone = vector_sets.normal_cone_contains(xbar[unknown], w[unknown], unknown.sum())
+    return cone.is_member
 
 
 def normal_cone_embedding_contains(inst: PartialEdm, xbar, w) -> bool:
@@ -301,10 +296,9 @@ def validate_completion_point(inst: PartialEdm, xbar) -> np.ndarray:
             f"Xbar does not match the known data at entry ({i},{j})"
         )
     block = transformed_block(xbar)
-    lam = eig_sym(block).lam
-    if lam[-1] < -MEMBERSHIP_TOL * (1.0 + float(np.linalg.norm(block))):
+    _, psd, rank = matrix_sets.psd_spectrum(block)
+    if not psd:
         raise PreconditionError("transformed block of Xbar is not PSD (not an EDM)")
-    rank = numerical_rank(np.maximum(lam, 0.0))
     if rank != inst.s:
         raise PreconditionError(
             f"transformed block has rank {rank}, expected s = {inst.s}"

@@ -22,17 +22,28 @@ from .errors import PreconditionError
 from .linalg import check_symmetric, eig_sym, numerical_rank, symmetrize
 
 
+def psd_spectrum(x) -> tuple:
+    """The one PSD-point rule: ``(eig_sym(x), is_psd, rank)`` for a
+    symmetric ``x``.  ``x`` is PSD when its smallest eigenvalue is at least
+    ``-MEMBERSHIP_TOL * (1 + ||x||_F)``, or when it is empty; its rank is
+    :func:`numerical_rank` of the spectrum clamped at zero."""
+    dec = eig_sym(x)
+    tol = MEMBERSHIP_TOL * (1.0 + float(np.linalg.norm(x)))
+    psd = dec.lam.size == 0 or dec.lam[-1] >= -tol
+    return dec, bool(psd), numerical_rank(np.maximum(dec.lam, 0.0))
+
+
 def validate_psd_low_rank(x, s: int, name: str = "Xbar") -> tuple:
-    """Validate membership in the PSD rank-at-most-s set; return (X, decomp)."""
+    """Validate membership in the PSD rank-at-most-s set under
+    :func:`psd_spectrum`; return (X, decomp, rank)."""
     x = check_symmetric(x, name)
     s = vector_sets._require_s(s, x.shape[0])
-    dec = eig_sym(x)
-    if dec.lam[-1] < -MEMBERSHIP_TOL * (1.0 + float(np.linalg.norm(x))):
+    dec, psd, r = psd_spectrum(x)
+    if not psd:
         raise PreconditionError(f"{name} is not positive semidefinite")
-    r = numerical_rank(dec.lam)
     if r > s:
         raise PreconditionError(f"{name} has rank {r} > s = {s}")
-    return x, dec
+    return x, dec, r
 
 
 def project_psd(x) -> np.ndarray:
@@ -151,9 +162,9 @@ def _joint_spectrum(xbar, y, s: int) -> tuple:
     support: the first ``r = rank(Xbar)`` entries.  ``y_vec`` is the spectrum
     of ``Y`` by increasing magnitude; complementarity needs its ``r`` smallest
     to vanish, as ``Y`` must on the range of ``Xbar``."""
-    xbar, dec = validate_psd_low_rank(xbar, s)
+    xbar, _, r = validate_psd_low_rank(xbar, s)
     y, residual, vanishes = _annihilation(xbar, y)
-    m, r = xbar.shape[0], numerical_rank(dec.lam)
+    m = xbar.shape[0]
     lam_y = eig_sym(y).lam
     x = np.zeros(m)
     x[:r] = 1.0

@@ -199,29 +199,9 @@ def validate_nonneg_sparse(x, s: int, name: str = "xbar") -> np.ndarray:
 
 def inverse_projection_contains(y, x, s: int) -> bool:
     """Whether ``x`` projects onto ``y`` (i.e. ``y`` is a member of the
-    projection of ``x``), decided by the inverse-projection formulas.
-
-    At maximal sparsity the test is agreement on the support of ``y``
-    together with the support values dominating the clipped off-support
-    entries of ``x``; below maximal sparsity it is ``max(x, 0) == y``.
-    """
-    y = validate_nonneg_sparse(y, s, "y")
-    x = _as_vector(x)
-    if x.shape != y.shape:
-        raise ValueError("x and y must have equal length")
-    eqtol = 1e-10 * (1.0 + float(np.max(np.abs(y), initial=0.0)))
-    supp = support_indices(y)
-    if supp.size == s:
-        if s == 0:
-            # projecting onto the zero set maps everything to zero
-            return True
-        if np.any(np.abs(x[supp] - y[supp]) > eqtol):
-            return False
-        off = np.setdiff1d(np.arange(x.size), supp)
-        if off.size == 0:
-            return True
-        return bool(np.min(y[supp]) >= np.max(np.maximum(x[off], 0.0)) - eqtol)
-    return bool(np.all(np.abs(np.maximum(x, 0.0) - y) <= eqtol))
+    projection of ``x``): :func:`decomposition_check` of ``y``, which must
+    lie in the set."""
+    return decomposition_check(x, validate_nonneg_sparse(y, s, "y"), s)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsecones import edm
+from sparsecones import edm, matrix_sets
 from sparsecones.errors import PreconditionError
 from sparsecones.linalg import eig_sym, symmetrize
 from sparsecones.solvers import EmbeddingRankSet, FixedEntriesNonnegSet
@@ -363,6 +363,48 @@ class TestNormalCones:
             w2 = np.zeros((5, 5))
             w2[a, b] = w2[b, a] = 1.0  # positive where xbar > 0 and unknown
             assert not edm.normal_cone_data_contains(inst, xbar, w2)
+
+    def test_data_cone_is_the_orthant_cone(self):
+        # three collinear points with (0, 2) unknown; on the unknown entries
+        # the cone is the vector orthant cone, whose cutoff
+        # zero_tol * (1 + max|w|) reads w[0, 2] = 5e-10 as positive
+        xbar = edm.build_edm([[0.0], [1.0], [2.0]])
+        known = np.ones((3, 3), dtype=bool)
+        known[0, 2] = known[2, 0] = False
+        inst = edm.PartialEdm(3, np.where(known, xbar, 0.0), known, 1)
+        w = np.array([[0.0, 1.0, 5e-10], [1.0, 0.0, 0.0], [5e-10, 0.0, 0.0]])
+        assert not edm.normal_cone_data_contains(inst, xbar, w)
+        w[0, 2] = w[2, 0] = 0.0
+        assert edm.normal_cone_data_contains(inst, xbar, w)
+        # a negative unknown entry is outside the data set
+        xbar[0, 2] = xbar[2, 0] = -1.0
+        with pytest.raises(PreconditionError, match="negative"):
+            edm.normal_cone_data_contains(inst, xbar, w)
+
+    def test_one_psd_rule_for_the_block(self, rng):
+        # D_ij = G_ii + G_jj - 2 G_ij is hollow for every symmetric G, and
+        # its transformed block is that of 2 Q G Q: adding lam/2 w w^T to G
+        # with Q w = (z, 0) adds lam z z^T to the block, z a null direction
+        n = 5
+        pts = 0.2 * rng.standard_normal((n, 2))  # keeps the block's norm below 1
+        z = eig_sym(edm.transformed_block(edm.build_edm(pts))).u[-1]
+        w = edm.householder_map(n).q @ np.append(z, 0.0)
+        for lam, psd, rank in ((0.0, True, 2), (-5e-10, True, 2), (-1e-6, False, 2),
+                               (1e-3, True, 3)):
+            g = symmetrize(pts @ pts.T + 0.5 * lam * np.outer(w, w))
+            d = np.diag(g)[:, None] + np.diag(g)[None, :] - 2.0 * g
+            block = edm.transformed_block(d)
+            assert matrix_sets.psd_spectrum(block)[1:] == (psd, rank)
+            assert tuple(edm.is_edm(d)) == (psd, rank)
+            inst = edm.PartialEdm(n, d, np.ones((n, n), dtype=bool), rank)
+            if psd:
+                assert matrix_sets.validate_psd_low_rank(block, n - 1)[2] == rank
+                assert np.array_equal(edm.validate_completion_point(inst, d), block)
+            else:
+                with pytest.raises(PreconditionError, match="positive semidefinite"):
+                    matrix_sets.validate_psd_low_rank(block, n - 1)
+                with pytest.raises(PreconditionError, match="not PSD"):
+                    edm.validate_completion_point(inst, d)
 
     def test_embedding_cone_membership(self, rng):
         inst, pts = edm.generate_instance(5, 2, 0.6, 14)

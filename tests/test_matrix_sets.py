@@ -137,6 +137,21 @@ class TestProjections:
             ms.project_psd_low_rank(np.array([[bad, 1.0], [1.0, 0.0]]), 1)
 
 
+class TestPsdPoint:
+    def test_rank_counts_the_clamped_spectrum(self):
+        # -5e-10 passes the PSD threshold -1e-9 * (1 + |x|_F); clamped at
+        # zero it adds nothing to the rank, as the projection drops it
+        x, _, rank = ms.validate_psd_low_rank(np.diag([1.0, -5e-10, 0.0]), 1)
+        assert rank == 1
+        assert ms.psd_spectrum(x)[1:] == (True, 1)
+        assert np.array_equal(ms.project_psd_low_rank(x, 1), np.diag([1.0, 0.0, 0.0]))
+        with pytest.raises(PreconditionError, match="positive semidefinite"):
+            ms.validate_psd_low_rank(np.diag([1.0, -5e-9, 0.0]), 1)
+
+    def test_empty_matrix_is_a_psd_point(self):
+        assert ms.psd_spectrum(np.zeros((0, 0)))[1:] == (True, 0)
+
+
 class TestNormalCone:
     def test_branch_examples(self):
         xbar = np.diag([1.0, 0.0])

@@ -289,6 +289,17 @@ class TestSpanLowRankPsd:
         )
         assert cert.verdict == "undecided"
 
+    def test_search_hits_what_the_cone_test_accepts(self):
+        # 1.5e-10 is a nonzero eigenvalue under the rank rule (rank 3 > m - s)
+        # but zero under the cone's cutoff 1.7e-10: the basis element is in
+        # the normal cone, so the search returns it
+        xbar = np.diag([1.0, 0.0, 0.0, 0.0])
+        y = np.diag([0.0, 0.7, 1.5e-10, -0.7])
+        assert matrix_sets.normal_cone_contains(xbar, -y, 2).is_member
+        cert = regularity.certify_span_low_rank_psd([y], xbar, 2, n_starts=20, n_steps=50)
+        assert cert.verdict == "not_regular"
+        assert np.allclose(np.abs(cert.witness), np.abs(y) / np.linalg.norm(y))
+
     def test_two_matrix_span(self):
         cert = regularity.certify_span_low_rank_psd(
             [np.diag([0.0, 1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])],

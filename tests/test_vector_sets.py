@@ -196,13 +196,28 @@ class TestInverseProjection:
             vs.inverse_projection_contains([1.0, 1.0], [1.0, 1.0], 1)
 
     def test_agrees_with_projection(self, rng):
-        for _ in range(400):
+        # members of the projection of x, and points of the set that are not
+        outcomes = []
+        for _ in range(1200):
             m = int(rng.integers(1, 7))
             s = int(rng.integers(0, m + 1))
             x = random_vector(rng, m)
             oracle = sparse_nonneg_projection_members(tuple(x), s)
-            y = oracle[rng.integers(0, len(oracle))]
-            assert vs.inverse_projection_contains(y, x, s)
+            y = oracle[rng.integers(0, len(oracle))].copy()
+            scenario = rng.integers(0, 4)
+            if scenario == 1 and np.any(y):
+                y[rng.choice(np.flatnonzero(y))] += 0.25 * (1 + rng.random())
+            elif scenario == 2:
+                y = np.zeros(m)
+                keep = list(rng.choice(m, size=s, replace=False))
+                y[keep] = np.maximum(x[keep], 0.0)
+            elif scenario == 3:
+                y = np.zeros(m)
+                y[list(rng.choice(m, size=s, replace=False))] = rng.integers(0, 3, size=s)
+            got = vs.inverse_projection_contains(y, x, s)
+            assert got == member_of(y, oracle), (x, y, s)
+            outcomes.append(got)
+        assert 0 < sum(outcomes) < len(outcomes)
 
 
 class TestNormalCone:
