@@ -310,7 +310,8 @@ def _falsify_matrix_branch(kernel, m, s, rng_seed, n_starts, n_steps, hit):
     k = len(kernel)
     rank_cap = m - s
     # quick wins: basis elements and their negatives
-    for y in [b for b in kernel] + [-b for b in kernel]:
+    candidates = [b for b in kernel] + [-b for b in kernel]
+    for y in candidates:
         y = y / float(np.linalg.norm(y))
         if hit(y):
             return y, "a kernel basis element"

@@ -366,8 +366,8 @@ class TestNormalCones:
 
     def test_data_cone_is_the_orthant_cone(self):
         # three collinear points with (0, 2) unknown; on the unknown entries
-        # the cone is the vector orthant cone, whose cutoff
-        # zero_tol * (1 + max|w|) reads w[0, 2] = 5e-10 as positive
+        # the cone is the vector orthant cone, whose cutoff there,
+        # zero_tol * (1 + max|w|), reads w[0, 2] = 5e-10 as positive
         xbar = edm.build_edm([[0.0], [1.0], [2.0]])
         known = np.ones((3, 3), dtype=bool)
         known[0, 2] = known[2, 0] = False
