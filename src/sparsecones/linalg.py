@@ -155,21 +155,16 @@ class Subspace:
 def null_intersection_basis(v: Subspace, coords: Iterable[int]) -> np.ndarray:
     """Orthonormal basis rows of ``v`` intersected with the coordinate
     subspace ``{y : y_j = 0 for all j not in coords}``.  Indices are 0-based.
+
+    The coefficients are the :func:`null_space` of the transposed
+    off-``coords`` columns of ``v.basis``; a 0-dimensional ``v`` gives
+    shape ``(0, n)``.
     """
     coords = set(int(j) for j in coords)
     if not coords <= set(range(v.ambient_dim)):
         raise ValueError("coords out of range")
-    k = v.dim
-    if k == 0:
-        return np.zeros((0, v.ambient_dim))
     complement = sorted(set(range(v.ambient_dim)) - coords)
-    if not complement:
-        return v.basis.copy()
-    m = v.basis[:, complement]  # k x |complement|; need c with c @ m = 0
-    # with k <= |complement| the thin U is already the full k x k
-    u, sv, _ = np.linalg.svd(m, full_matrices=k > len(complement))
-    c = u[:, numerical_rank(sv):].T  # orthonormal coefficient rows
-    return c @ v.basis
+    return null_space(v.basis[:, complement].T) @ v.basis
 
 
 def lp_cone_point(v: Subspace, zero_coords: Iterable[int] = ()):
@@ -217,16 +212,16 @@ def _phase1_simplex(a_eq, b_eq):
     """Feasible point of {x >= 0 : a_eq x = b_eq} or None.
 
     Full-tableau phase-1 with artificial variables, minimizing their sum under
-    Bland's rule (entering: lowest-index negative reduced cost; leaving:
-    lowest-index among minimum-ratio ties), which rules out cycling.
+    Bland's rule, which rules out cycling: the entering column is the first
+    reduced cost below -1e-11; the leaving row has the minimum ratio among
+    the rows whose pivot entry is above 1e-11, ties within 1e-12 of that
+    minimum going to the lowest basis index.
     """
-    a = np.asarray(a_eq, dtype=float)
-    b = np.asarray(b_eq, dtype=float).copy()
+    b = np.asarray(b_eq, dtype=float)
+    sign = np.where(b < 0, -1.0, 1.0)  # flip the rows with b < 0
+    a = np.asarray(a_eq, dtype=float) * sign[:, None]
+    b = b * sign
     m, n = a.shape
-    a = a.copy()
-    neg = b < 0
-    a[neg] *= -1.0
-    b[neg] *= -1.0
     maxiter = 1000 + 50 * (m + n)
     # tableau: [A | I | b] with phase-1 cost row beneath
     t = np.zeros((m + 1, n + m + 1))
@@ -235,37 +230,23 @@ def _phase1_simplex(a_eq, b_eq):
     t[:m, -1] = b
     t[-1, :n] = -a.sum(axis=0)
     t[-1, -1] = -b.sum()
-    basis = list(range(n, n + m))
+    basis = np.arange(n, n + m)
     pivot_tol = 1e-11
     for _ in range(maxiter):
-        costs = t[-1, : n + m]
-        entering = -1
-        for j in range(n + m):
-            if costs[j] < -pivot_tol:
-                entering = j
-                break
-        if entering < 0:
+        negative = np.flatnonzero(t[-1, : n + m] < -pivot_tol)
+        if not negative.size:
             break
-        col = t[:m, entering]
-        best_ratio = None
-        leaving = -1
-        for i in range(m):
-            if col[i] > pivot_tol:
-                ratio = t[i, -1] / col[i]
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio - 1e-12
-                    or (abs(ratio - best_ratio) <= 1e-12 and basis[i] < basis[leaving])
-                ):
-                    best_ratio = ratio
-                    leaving = i
-        if leaving < 0:
+        entering = negative[0]
+        rows = np.flatnonzero(t[:m, entering] > pivot_tol)
+        if not rows.size:
             raise NumericalError("phase-1 simplex found an unbounded direction")
-        piv = t[leaving, entering]
-        t[leaving] /= piv
-        for i in range(m + 1):
-            if i != leaving and t[i, entering] != 0.0:
-                t[i] -= t[i, entering] * t[leaving]
+        ratio = t[rows, -1] / t[rows, entering]
+        ties = rows[ratio <= ratio.min() + 1e-12]
+        leaving = ties[np.argmin(basis[ties])]
+        t[leaving] /= t[leaving, entering]
+        col = t[:, entering].copy()
+        col[leaving] = 0.0
+        t -= np.outer(col, t[leaving])
         basis[leaving] = entering
     else:
         raise NumericalError(f"phase-1 simplex iteration cap {maxiter} exceeded")
@@ -273,7 +254,6 @@ def _phase1_simplex(a_eq, b_eq):
     if objective > 1e-9:  # the feasibility margin
         return None
     x = np.zeros(n)
-    for i, j in enumerate(basis):
-        if j < n:
-            x[j] = t[i, -1]
+    structural = basis < n
+    x[basis[structural]] = t[:m, -1][structural]
     return x

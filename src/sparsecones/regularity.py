@@ -206,9 +206,10 @@ def _first_meeting_set(v: Subspace, sets):
 
 def _vec_witness(v: Subspace, xbar, s: int, y: np.ndarray) -> np.ndarray:
     """``y`` scaled to unit norm, re-verified as a violation witness."""
-    y = y / float(np.linalg.norm(y))
-    if np.linalg.norm(y) < 1e-6:
+    norm = float(np.linalg.norm(y))
+    if not 0.0 < norm < np.inf:
         raise AssertionError("witness too small")
+    y = y / norm
     if not v.contains(y):
         raise AssertionError("witness left the affine normal space")
     if not vector_sets.normal_cone_contains(xbar, -y, s).is_member:
@@ -263,11 +264,11 @@ def certify_span_low_rank_psd(
             "regular", None, "exact-linear",
             "no nonzero span element annihilates Xbar", diagnostics=diag,
         )
-    kernel = [
-        symmetrize((c @ span.basis).reshape(m, m)) for c in null
-    ]  # basis of {Y in span : Xbar Y = 0}
+    # {Y in span : Xbar Y = 0}, its basis rows the flattened matrices
+    rows = np.stack([symmetrize(r.reshape(m, m)) for r in null @ span.basis])
+    kernel = Subspace(m * m, rows.reshape(-1, m * m))
     if rank == s:
-        witness = kernel[0] / float(np.linalg.norm(kernel[0]))
+        witness = rows[0] / float(np.linalg.norm(rows[0]))
         method, seed = "exact-linear", None
         details = (f"Xbar has maximal rank s = {s}, so a nonzero annihilating "
                    f"span element has rank at most m - s = {m - s}")
@@ -293,31 +294,21 @@ def certify_span_low_rank_psd(
     )
 
 
-def _project_span(kernel, y):
-    out = np.zeros_like(y)
-    for b in kernel:
-        out += float(np.sum(b * y)) * b
-    return out
-
-
 def _falsify_matrix_branch(kernel, m, s, rng_seed, n_starts, n_steps, hit):
-    """Search the annihilating subspace for a nonzero element ``y`` with
-    ``hit(y)``, the normal-cone re-check: basis elements and their
-    negatives first, then alternating projections toward the PSD cone or
-    the rank-at-most-``m - s`` set.  Returns (witness, description) or
-    (None, None)."""
+    """Search ``kernel``, the annihilating subspace of flattened ``m x m``
+    matrices, for a nonzero element ``y`` with ``hit(y)``, the normal-cone
+    re-check: basis elements and their negatives first, then alternating
+    projections toward the PSD cone or the rank-at-most-``m - s`` set and
+    back onto ``kernel``.  Returns (witness, description) or (None, None)."""
     rng = np.random.default_rng(rng_seed)
-    k = len(kernel)
     rank_cap = m - s
     # quick wins: basis elements and their negatives
-    candidates = [b for b in kernel] + [-b for b in kernel]
-    for y in candidates:
-        y = y / float(np.linalg.norm(y))
+    for y in np.concatenate([kernel.basis, -kernel.basis]):
+        y = (y / float(np.linalg.norm(y))).reshape(m, m)
         if hit(y):
             return y, "a kernel basis element"
     for start in range(int(n_starts)):
-        c = rng.standard_normal(k)
-        y = sum(ci * bi for ci, bi in zip(c, kernel))
+        y = (rng.standard_normal(kernel.dim) @ kernel.basis).reshape(m, m)
         norm = float(np.linalg.norm(y))
         if norm < 1e-12:
             continue
@@ -329,7 +320,7 @@ def _falsify_matrix_branch(kernel, m, s, rng_seed, n_starts, n_steps, hit):
             else:
                 z = matrix_sets.project_low_rank(y, rank_cap)
             gap = float(np.linalg.norm(z - y))
-            y_new = _project_span(kernel, z)
+            y_new = kernel.project(z.ravel()).reshape(m, m)
             norm = float(np.linalg.norm(y_new))
             if norm < 1e-12:
                 break

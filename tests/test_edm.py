@@ -113,6 +113,27 @@ class TestRecoverPoints:
         assert np.array_equal(a, b)
         assert np.allclose(a.mean(axis=0), 0.0, atol=1e-9)
 
+    @pytest.mark.parametrize("pts, s", [
+        (np.random.default_rng(5).random((7, 2)), 2),
+        (np.random.default_rng(6).random((5, 3)), 3),
+        ([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], 2),  # tied variances
+        ([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], 3),  # one zero axis
+        ([[0.0], [1.0], [3.0]], 2),
+    ], ids=["generic-2d", "generic-3d", "square", "square-in-3d", "collinear-in-2d"])
+    def test_points_are_centred_on_their_principal_axes(self, pts, s):
+        d = edm.build_edm(pts)
+        rec = edm.recover_points(d, s)
+        assert np.linalg.norm(edm.build_edm(rec) - d) <= 1e-12 * (1 + np.linalg.norm(d))
+        scale = 1.0 + float(np.abs(rec).max())
+        assert np.allclose(rec.sum(axis=0), 0.0, atol=1e-12 * scale)
+        gram = rec.T @ rec
+        var = np.diag(gram)
+        assert np.allclose(gram - np.diag(var), 0.0, atol=1e-12 * scale ** 2)
+        assert np.all(np.diff(var) <= 1e-12 * scale ** 2)
+        for col in rec.T:
+            nz = np.flatnonzero(np.abs(col) > 1e-9 * (1.0 + np.abs(col).max()))
+            assert nz.size == 0 or col[nz[0]] > 0.0
+
     def test_rejects_non_edm(self):
         y = np.array([[0.0, 1.0, 9.0], [1.0, 0.0, 1.0], [9.0, 1.0, 0.0]])
         with pytest.raises(ValueError):
@@ -145,6 +166,24 @@ class TestPartialEdm:
         entries[0, 1] = entries[1, 0] = bad
         with pytest.raises(PreconditionError, match="entries has a NaN"):
             edm.PartialEdm(3, entries, np.ones((3, 3), bool), 1)
+        entries = np.zeros((3, 3))
+        entries[0, 0] = bad  # rejected as non-finite, before the hollow test
+        with pytest.raises(PreconditionError, match="entries has a NaN"):
+            edm.PartialEdm(3, entries, np.ones((3, 3), bool), 1)
+
+    def test_symmetry_tolerance_is_relative(self):
+        entries = np.array([[0.0, 1e6, 4.0], [1e6, 0.0, 9.0], [4.0, 9.0, 0.0]])
+        mask = np.ones((3, 3), bool)
+        inst = edm.PartialEdm(3, entries, mask, 1)
+        assert inst.entries.tobytes() == entries.tobytes()
+        assert inst.entries is not entries
+        skewed = entries.copy()
+        skewed[0, 1] += 1e-7  # below 1e-12 * (1 + 1e6), above 1e-12
+        inst = edm.PartialEdm(3, skewed, mask, 1)
+        assert np.array_equal(inst.entries, 0.5 * (skewed + skewed.T))
+        skewed[0, 1] += 1e-5
+        with pytest.raises(ValueError, match="entries is not symmetric"):
+            edm.PartialEdm(3, skewed, mask, 1)
 
     @pytest.mark.parametrize(
         "n, fraction, seed", [(3, 0.5, 0), (5, 0.7, 3), (8, 0.3, 11), (30, 0.9, 7), (41, 0.5, 2)]

@@ -229,6 +229,19 @@ class TestSubspace:
             last = cur
         assert last == v.dim
 
+    def test_null_intersection_of_the_zero_subspace(self):
+        v = linalg.Subspace.span(np.zeros((1, 4)))
+        for coords in (set(), {1, 2}, range(4)):
+            assert linalg.null_intersection_basis(v, coords).shape == (0, 4)
+
+    def test_null_intersection_with_every_coordinate_is_v(self, rng):
+        v = linalg.Subspace.span(rng.standard_normal((3, 6)))
+        basis = linalg.null_intersection_basis(v, range(6))
+        assert basis.shape == (3, 6)
+        assert np.allclose(basis @ basis.T, np.eye(3), atol=1e-12)
+        y = rng.standard_normal(6)
+        assert np.allclose(linalg.Subspace(6, basis).project(y), v.project(y), atol=1e-12)
+
     def test_coords_out_of_range(self):
         v = linalg.Subspace.span([[1.0, 0.0]])
         with pytest.raises(ValueError):

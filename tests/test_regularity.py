@@ -168,6 +168,11 @@ class TestAffineSparse:
             assert str(list(coords)) in cert.details
             assert np.allclose(np.abs(cert.witness), [0.0, 2 ** -0.5, 2 ** -0.5, 0.0, 0.0, 0.0])
 
+    def test_zero_witness_is_rejected_before_scaling(self):
+        v = linalg.Subspace.span([[1.0, 0.0, 0.0]])
+        with pytest.raises(AssertionError, match="witness too small"):
+            regularity._vec_witness(v, np.array([0.0, 1.0, 0.0]), 1, np.zeros(3))
+
     def test_regular_example(self):
         cert = regularity.certify_affine_sparse([[1.0, 1.0]], [1.0, 0.0], 1)
         assert cert.verdict == "regular"
