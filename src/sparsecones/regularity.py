@@ -39,6 +39,8 @@ from .linalg import (
 
 MAX_ENUM_DIM = 20
 ENUM_CHUNK = 4096  # coordinate sets per batched SVD; bounds the stack's memory
+ENUM_FIRST_CHUNK = 16  # the first chunk; chunks double up to ENUM_CHUNK
+EDM_UNIT_CHUNK = 256  # unit unknowns per batched transform of the EDM system
 FALSIFICATION_STARTS = 10_000
 FALSIFICATION_STEPS = 200
 PROX_SAMPLES = 100  # ball samples of a prox-regularity probe
@@ -93,10 +95,11 @@ def certify_affine_sparse(
     sampling falsification of ``FALSIFICATION_STARTS`` draws runs and the
     verdict may be ``undecided``).  The sets are screened in
     ``combinations`` order by the singular values of one batched SVD per
-    chunk of ``ENUM_CHUNK`` sets under the :func:`numerical_rank` rule, so
-    memory is bounded by the chunk.  Each set that passes the screen is
-    confirmed by :func:`null_intersection_basis`; the first confirmed set
-    gives the witness, and its position is ``diagnostics["enumerated_sets"]``.
+    chunk of sets under the :func:`numerical_rank` rule; chunks double from
+    ``ENUM_FIRST_CHUNK`` to ``ENUM_CHUNK`` sets, which bounds memory and
+    keeps an early hit cheap.  Each set that passes the screen is confirmed
+    by :func:`null_intersection_basis`; the first confirmed set gives the
+    witness, and its position is ``diagnostics["enumerated_sets"]``.
     Both branches search the row-space directions that vanish on the
     support (``diagnostics["complementary_dim"]``); above ``max_enum_dim``,
     when there are none, the verdict is an exact ``regular``.
@@ -183,14 +186,16 @@ def certify_affine_sparse(
 def _first_meeting_set(v: Subspace, sets):
     """``(sets checked, first set, its basis)`` for the first of ``sets``
     whose coordinate subspace meets ``v``, else ``(sets checked, None,
-    None)``.  Each chunk is screened by the singular values alone of one
-    batched SVD of the off-set columns of ``v.basis``: a set passes the
-    screen when their :func:`numerical_rank` is below ``v.dim``.  A set that
-    passes is confirmed by :func:`null_intersection_basis` under the same
-    rule, whose nonempty basis is returned; a set that fails confirmation
-    (the two calls disagree at the cutoff) is skipped."""
-    checked = 0
-    while chunk := list(islice(sets, ENUM_CHUNK)):
+    None)``.  The iterator ``sets`` is drawn in chunks that double from
+    ``ENUM_FIRST_CHUNK`` to ``ENUM_CHUNK`` sets.  Each chunk is screened by
+    the singular values alone of one batched SVD of the off-set columns of
+    ``v.basis``: a set passes the screen when their :func:`numerical_rank`
+    is below ``v.dim``.  A set that passes is confirmed by
+    :func:`null_intersection_basis` under the same rule, whose nonempty
+    basis is returned; a set that fails confirmation (the two calls
+    disagree at the cutoff) is skipped."""
+    checked, size = 0, ENUM_FIRST_CHUNK
+    while chunk := list(islice(sets, min(size, ENUM_CHUNK))):
         off = np.ones((len(chunk), v.ambient_dim), dtype=bool)
         off[np.arange(len(chunk))[:, None], np.array(chunk)] = False
         complement = np.nonzero(off)[1].reshape(len(chunk), -1)
@@ -201,6 +206,7 @@ def _first_meeting_set(v: Subspace, sets):
             if basis.shape[0]:
                 return checked + int(i) + 1, chunk[i], basis
         checked += len(chunk)
+        size *= 2
     return checked, None, None
 
 
@@ -417,19 +423,23 @@ def _completion_constraint_matrix(inst: "_edm.PartialEdm", block_x: np.ndarray):
     elsewhere), in row-major order, returned as index arrays ``(iu, ju)``.
     Constraints: the transform of Y must vanish on its border row/column,
     and the transformed block must be annihilated by the block of the
-    solution.  The transforms of all unit unknowns are one batched product.
+    solution.  The transforms of the unit unknowns are batched products of
+    ``EDM_UNIT_CHUNK`` unknowns, which bounds the memory beside the system.
     """
     n = inst.n_points
     q = _edm.householder_map(n).q
     iu, ju = np.nonzero(np.triu(inst.known))
-    unit = np.arange(iu.size)
-    basis = np.zeros((iu.size, n, n))
-    basis[unit, iu, ju] = 1.0
-    basis[unit, ju, iu] = 1.0
-    ty = -(q @ basis @ q)
-    prod = block_x @ ty[:, : n - 1, : n - 1]
-    # the border is the last row (= last column by symmetry)
-    cols = np.concatenate([ty[:, -1, :], prod.reshape(iu.size, -1)], axis=1)
+    cols = np.empty((iu.size, n + (n - 1) ** 2))
+    for lo in range(0, iu.size, EDM_UNIT_CHUNK):
+        rows = slice(lo, lo + EDM_UNIT_CHUNK)
+        unit = np.arange(iu[rows].size)
+        basis = np.zeros((unit.size, n, n))
+        basis[unit, iu[rows], ju[rows]] = 1.0
+        basis[unit, ju[rows], iu[rows]] = 1.0
+        ty = -(q @ basis @ q)
+        # the border is the last row (= last column by symmetry)
+        cols[rows, :n] = ty[:, -1, :]
+        cols[rows, n:] = (block_x @ ty[:, : n - 1, : n - 1]).reshape(unit.size, -1)
     return cols.T, (iu, ju)
 
 

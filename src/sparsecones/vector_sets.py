@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations
-from math import comb
+from math import comb, isfinite
 from typing import Optional
 
 import numpy as np
@@ -40,7 +40,11 @@ def sparsity(x) -> int:
 
 
 def _as_vector(x) -> np.ndarray:
-    return check_finite(np.asarray(x, dtype=float), "vector")
+    """``x`` as a float array, checked finite by one dot product; entries
+    above about 1e154 overflow it (numpy warns) and take the full check."""
+    x = np.asarray(x, dtype=float)
+    v = x.ravel()
+    return x if isfinite(v.dot(v)) else check_finite(x, "vector")
 
 
 @dataclass(frozen=True)
@@ -74,27 +78,21 @@ def _require_s(s: int, m: int) -> int:
     return s
 
 
-def _cut(v, s: int):
-    """The ``s``-th largest entry of ``v`` (``inf`` for ``s == 0``)."""
-    return np.partition(v, v.size - s)[v.size - s] if s else np.inf
-
-
 def _top_s(v, s: int):
     """Select the ``s`` largest entries of ``v``, value descending and then
     index ascending: the canonical rule of every sparse projection.
 
-    Returns ``(cut, above, tied, keep)``: the :func:`_cut` value, the masks
-    of the entries above and equal to it, and the mask of the ``s`` kept
-    entries, which is ``above`` plus the lowest-index ``tied`` entries.
+    Returns ``(cut, keep)``: the ``s``-th largest entry (``inf`` for
+    ``s == 0``) and the mask of the ``s`` kept entries.  ``keep`` is
+    ``v >= cut``, less its highest-index entries equal to ``cut`` when more
+    than ``s`` entries reach it.
     """
-    cut = _cut(v, s)
-    above = v > cut
-    tied = v == cut
-    keep = above | tied
+    cut = np.partition(v, v.size - s)[v.size - s] if s else np.inf
+    keep = v >= cut
     excess = np.count_nonzero(keep) - s
     if excess:
-        keep[np.flatnonzero(tied)[-excess:]] = False
-    return cut, above, tied, keep
+        keep[np.flatnonzero(v == cut)[-excess:]] = False
+    return cut, keep
 
 
 def _enumerate_members(values, keep_always, tied, slots):
@@ -129,14 +127,16 @@ def project_sparse(x, s: int) -> ProjectionResult:
     exact magnitude ties."""
     x = _as_vector(x)
     s = _require_s(s, x.size)
-    cut, above, tied, keep = _top_s(np.abs(x), s)
+    mag = np.abs(x)
+    cut, keep = _top_s(mag, s)
     if cut == 0.0:
         # at most s nonzeros: x is the only member
         y = x.copy()
         return ProjectionResult((y,), y, 0.0, 1)
+    above = mag > cut
     slots = s - np.count_nonzero(above)
     members, total = _enumerate_members(
-        x, above, np.flatnonzero(tied).tolist(), slots
+        x, above, np.flatnonzero(mag == cut).tolist(), slots
     )
     canonical = np.where(keep, x, 0.0)
     if members is None:
@@ -146,11 +146,14 @@ def project_sparse(x, s: int) -> ProjectionResult:
 
 
 def top_s_nonneg(x, s: int) -> np.ndarray:
-    """Canonical member of :func:`project_sparse_nonneg` without the
-    set-valued bookkeeping (used in solver hot loops)."""
+    """Canonical member of :func:`project_sparse_nonneg`, byte for byte,
+    without the set-valued bookkeeping (used in solver hot loops).  Selects
+    on ``x`` itself, as ``max(x, 0)`` is monotone: a positive cut keeps what
+    :func:`_top_s` keeps on ``x``; otherwise fewer than ``s`` entries are
+    positive and all are kept.  Every other entry is ``+0.0``."""
     x = _as_vector(x)
-    xp = np.maximum(x, 0.0)
-    return np.where(_top_s(xp, _require_s(s, x.size))[3], xp, 0.0)
+    cut, keep = _top_s(x, _require_s(s, x.size))
+    return np.where(keep if cut > 0.0 else x > 0.0, x, 0.0)
 
 
 def decomposition_check(x, y, s: int) -> bool:
@@ -181,7 +184,7 @@ def decomposition_check(x, y, s: int) -> bool:
     if np.count_nonzero(on_y & (abs(z) > zero_cutoff(z))):
         return False
     slack = 1e-12 * (1.0 + float(abs(x).max()))
-    return bool(_cut(y, s) >= float(z.max()) - slack)
+    return bool(_top_s(y, s)[0] >= float(z.max()) - slack)
 
 
 def validate_nonneg_sparse(x, s: int, name: str = "xbar") -> np.ndarray:

@@ -1,4 +1,5 @@
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -167,6 +168,28 @@ class TestAffineSparse:
             assert cert.verdict == "not_regular"
             assert str(list(coords)) in cert.details
             assert np.allclose(np.abs(cert.witness), [0.0, 2 ** -0.5, 2 ** -0.5, 0.0, 0.0, 0.0])
+
+    def test_early_hit_screens_only_the_first_chunk(self):
+        # row 0 of A lives on the first coordinate set of m - s = 12 free
+        # coordinates, so set 1 meets the row space; its rows sum to zero
+        # off the support, so the LP branch is infeasible (Stiemke)
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((8, 18))
+        a[:, 17] = 0.0
+        a[0, 12:] = 0.0
+        a[:, :17] -= a[:, :17].mean(axis=1, keepdims=True)
+        a[0, :12] -= a[0, :12].mean()
+        xbar = np.zeros(18)
+        xbar[17] = 1.0
+        cert = regularity.certify_affine_sparse(a, xbar, 6)
+        assert (cert.verdict, cert.method) == ("not_regular", "exact-combinatorial")
+        assert cert.diagnostics["enumerated_sets"] == 1
+        sets = combinations(range(17), 12)
+        checked, coords, _ = regularity._first_meeting_set(linalg.Subspace.span(a), sets)
+        assert (checked, coords) == (1, tuple(range(12)))
+        # only the first, small chunk was drawn from the iterator
+        drawn = comb(17, 12) - len(list(sets))
+        assert drawn == regularity.ENUM_FIRST_CHUNK < regularity.ENUM_CHUNK
 
     def test_zero_witness_is_rejected_before_scaling(self):
         v = linalg.Subspace.span([[1.0, 0.0, 0.0]])
@@ -414,6 +437,36 @@ class TestEdmCertifier:
                 continue
             verdicts.add(cert.verdict)
         assert "regular" in verdicts and "not_regular" in verdicts
+
+    @pytest.mark.parametrize("chunk", [7, regularity.EDM_UNIT_CHUNK])
+    def test_chunked_system_matches_one_batch(self, chunk):
+        # 423 unknowns: two default chunks, the second one partial
+        inst, pts = edm.generate_instance(30, 2, 0.9, rng_seed=1)
+        block = edm.validate_completion_point(inst, edm.build_edm(pts))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(regularity, "EDM_UNIT_CHUNK", 10 ** 6)
+            whole, (iu, ju) = regularity._completion_constraint_matrix(inst, block)
+            mp.setattr(regularity, "EDM_UNIT_CHUNK", chunk)
+            chunked, index = regularity._completion_constraint_matrix(inst, block)
+        assert iu.size == 423
+        assert np.array_equal(index[0], iu) and np.array_equal(index[1], ju)
+        assert chunked.shape == whole.shape and chunked.strides == whole.strides
+        assert chunked.tobytes() == whole.tobytes()
+
+    def test_system_memory_is_bounded_by_the_chunk(self):
+        import tracemalloc
+
+        inst, pts = edm.generate_instance(60, 2, 0.9, rng_seed=7)
+        block = edm.validate_completion_point(inst, edm.build_edm(pts))
+        tracemalloc.start()
+        try:
+            system, (iu, _) = regularity._completion_constraint_matrix(inst, block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert iu.size == 1658 and system.nbytes > 46e6
+        # one batch of all unknowns peaked at 189 MB
+        assert peak <= 100e6
 
     def test_full_mask_certificate(self):
         inst, pts = edm.generate_instance(5, 2, 1.0, 2)

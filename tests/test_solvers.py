@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -459,6 +460,48 @@ class TestLoopMatchesReference:
             assert np.array_equal(trace.residuals, residuals)
             assert np.array_equal(trace.step_norms, steps)
             assert shadow.tobytes() == ref_shadow.tobytes()
+
+
+_CHILD_SOLVES = """
+import json
+import numpy as np
+from sparsecones import edm, solvers
+a, b, x = solvers.plant_sparse_instance(200, 5, 40, rng_seed=3)
+x0 = x + 0.05 * np.random.default_rng(4).standard_normal(200) / np.sqrt(200)
+runs = {
+    "sparse-dr": solvers.solve_dr(
+        solvers.AffineSet(a, b), solvers.NonnegSparseSet(5), x0,
+        solvers.SolveConfig(tol=1e-10, maxiter=20_000)),
+    "complete-edm": solvers.complete_edm(edm.generate_instance(8, 2, 0.8, rng_seed=1)[0]),
+}
+print(json.dumps({
+    name: [trace.status, trace.iterations]
+    + [v.tobytes().hex() for v in (trace.residuals, trace.step_norms, shadow)]
+    for name, (shadow, trace) in runs.items()
+}))
+"""
+
+
+def test_solves_identical_across_processes():
+    # the scope the module docstring states: one build, one BLAS thread count
+    import os
+    import subprocess
+    import sys
+
+    import sparsecones
+
+    src = str(Path(sparsecones.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    outputs = [
+        subprocess.run([sys.executable, "-c", _CHILD_SOLVES], env=env, check=True,
+                       capture_output=True, text=True, timeout=60).stdout
+        for _ in range(2)
+    ]
+    first = json.loads(outputs[0])
+    assert [first[name][0] for name in ("sparse-dr", "complete-edm")] == ["converged"] * 2
+    assert outputs[1] == outputs[0]
 
 
 class TestBoundaryChecks:

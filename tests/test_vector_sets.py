@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsecones import vector_sets as vs
 from sparsecones.errors import PreconditionError
@@ -18,6 +20,36 @@ def random_vector(rng, m):
         x[rng.random(m) < 0.4] = 0.0
         return x
     return rng.integers(-2, 3, size=m).astype(float)
+
+
+def top_s_oracle(x, s, key):
+    """Order the indices by ``(-key(x_i), i)``, keep the first ``s`` and
+    zero the rest (``+0.0``): the canonical selection, written out."""
+    order = sorted(range(len(x)), key=lambda i: (-key(x[i]), i))
+    out = np.zeros(len(x))
+    for i in order[:s]:
+        out[i] = x[i]
+    return out
+
+
+def clamp(v):
+    """``max(v, 0.0)`` with ``+0.0`` for ``-0.0``."""
+    return v if v > 0.0 else 0.0
+
+
+@st.composite
+def vectors_and_s(draw):
+    """Short vectors of small integers (ties at the cut), ``-0.0`` and
+    continuous values, sometimes all nonpositive, with ``s`` in
+    ``[0, m]`` and its two ends drawn often."""
+    x = draw(st.lists(st.one_of(
+        st.integers(-3, 3).map(float), st.just(-0.0),
+        st.floats(-10.0, 10.0, allow_nan=False, width=64),
+    ), max_size=12))
+    if draw(st.booleans()):
+        x = [-abs(v) for v in x]
+    s = draw(st.one_of(st.sampled_from([0, len(x)]), st.integers(0, len(x))))
+    return x, s
 
 
 class TestProjectSparseNonneg:
@@ -87,6 +119,25 @@ class TestProjectSparseNonneg:
             pos = set(np.flatnonzero(x > 0.0))
             for mem in vs.project_sparse_nonneg(x, s).members:
                 assert set(np.flatnonzero(mem)) <= pos
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(vectors_and_s())
+    def test_top_s_bytes_match_oracle(self, case):
+        x, s = case
+        want = top_s_oracle([clamp(v) for v in x], s, key=lambda v: v).tobytes()
+        assert vs.top_s_nonneg(np.array(x), s).tobytes() == want
+        assert vs.project_sparse_nonneg(x, s).canonical.tobytes() == want
+        # the same kernel on magnitudes; -0.0 may survive there, so by value
+        assert np.array_equal(
+            vs.project_sparse(x, s).canonical, top_s_oracle(x, s, key=abs)
+        )
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_top_s_near_overflow(self):
+        # the sum of squares overflows; the full finite check then passes
+        x = [1e200, -1e200, 3e199, 1e200, 1.0, 0.0]
+        want = top_s_oracle([clamp(v) for v in x], 3, key=lambda v: v)
+        assert vs.top_s_nonneg(x, 3).tobytes() == want.tobytes()
 
     def test_top_s_matches_canonical(self, rng):
         for _ in range(100):
