@@ -124,7 +124,7 @@ class TestProjectSparseNonneg:
     @given(vectors_and_s())
     def test_top_s_bytes_match_oracle(self, case):
         x, s = case
-        want = top_s_oracle([clamp(v) for v in x], s, key=lambda v: v).tobytes()
+        want = top_s_oracle([clamp(v) for v in x], s, key=float).tobytes()
         assert vs.top_s_nonneg(np.array(x), s).tobytes() == want
         assert vs.project_sparse_nonneg(x, s).canonical.tobytes() == want
         # the same kernel on magnitudes; -0.0 may survive there, so by value
@@ -136,7 +136,7 @@ class TestProjectSparseNonneg:
     def test_top_s_near_overflow(self):
         # the sum of squares overflows; the full finite check then passes
         x = [1e200, -1e200, 3e199, 1e200, 1.0, 0.0]
-        want = top_s_oracle([clamp(v) for v in x], 3, key=lambda v: v)
+        want = top_s_oracle([clamp(v) for v in x], 3, key=float)
         assert vs.top_s_nonneg(x, 3).tobytes() == want.tobytes()
 
     def test_top_s_matches_canonical(self, rng):
