@@ -4,7 +4,7 @@ Douglas-Rachford / alternating-projection feasibility solvers and Euclidean
 distance matrix completion."""
 
 from . import config, edm, linalg, matrix_sets, regularity, solvers, vector_sets
-from .config import set_zero_tol, zero_tol
+from .config import zero_tol
 from .errors import NumericalError, PreconditionError
 
 __version__ = "0.1.0"
@@ -18,7 +18,6 @@ __all__ = [
     "solvers",
     "edm",
     "zero_tol",
-    "set_zero_tol",
     "NumericalError",
     "PreconditionError",
     "__version__",

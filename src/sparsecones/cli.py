@@ -260,7 +260,7 @@ def _cmd_solve(args) -> int:
         s = int(_field(data, "s", args.instance))
         c1 = solvers.AffineSet(a, b)
         c2 = solvers.NonnegSparseSet(s)
-        x_default = np.linalg.pinv(a) @ b  # deterministic least-norm start
+        x_default = c1.project(np.zeros(a.shape[1]))  # the least-norm start
         x0 = _start_vector(x_default, args, (a.shape[1],))
         shadow, trace = solvers.solve(c1, c2, x0, args.method, cfg)
         sparse_point = c2.project(shadow)

@@ -8,8 +8,8 @@ test judges entries and eigenvalues by it).  Ranks: an eigenvalue or
 singular value of magnitude at most ``zero_tol() * max(1, scale)`` counts as
 zero, where ``scale`` is the largest magnitude (``linalg.numerical_rank``);
 a PSD point's rank is that of its spectrum clamped at zero.  The default can
-be overridden with the ``SPARSECONES_ZERO_TOL`` environment variable or
-:func:`set_zero_tol`, which changes process-global state.
+be overridden, once per process, with the ``SPARSECONES_ZERO_TOL``
+environment variable, read at import.
 """
 
 from __future__ import annotations
@@ -31,17 +31,8 @@ if _zero_tol <= 0.0:
 
 
 def zero_tol() -> float:
-    """Current global zero tolerance."""
+    """The global zero tolerance."""
     return _zero_tol
-
-
-def set_zero_tol(value: float) -> None:
-    """Override the global zero tolerance (must be positive)."""
-    global _zero_tol
-    value = float(value)
-    if value <= 0.0:
-        raise ValueError("zero tolerance must be positive")
-    _zero_tol = value
 
 
 def zero_cutoff(a) -> float:

@@ -171,56 +171,42 @@ def lp_cone_point(v: Subspace, zero_coords: Iterable[int] = ()):
     """A vector y in ``v`` with y >= 0, sum(y) = 1 and y zero on
     ``zero_coords``, or ``None`` if no such vector exists.
 
-    Decided by a phase-1 simplex with Bland's rule on the equality form; the
-    system counts as feasible when the phase-1 objective is at most 1e-9.
+    Posed in standard form on the free coordinates, those off
+    ``zero_coords``.  The rows C of :func:`null_intersection_basis` there
+    span the candidates, so the system is {x >= 0 : N x = 0, sum(x) = 1},
+    N the :func:`null_space` of C, decided by :func:`_phase1_simplex`.  An
+    empty C (``v`` trivial, every coordinate zero, or no direction of ``v``
+    vanishing on ``zero_coords``) gives ``None``.
     """
     n = v.ambient_dim
-    k = v.dim
-    zero = sorted(set(int(j) for j in zero_coords))
-    if not set(zero) <= set(range(n)):
+    zero = set(int(j) for j in zero_coords)
+    if not zero <= set(range(n)):
         raise ValueError("zero_coords out of range")
-    if k == 0:
-        return None
     free = [j for j in range(n) if j not in zero]
-    f = len(free)
-    if f == 0:
+    c = null_intersection_basis(v, free)[:, free]
+    if not c.size:
         return None
-    b_free = v.basis[:, free]  # k x f
-    b_zero = v.basis[:, zero]  # k x |zero|
-    # variables: [y_free (f), u (k), w (k)] with coefficients c = u - w
-    rows = f + len(zero) + 1
-    cols = f + 2 * k
-    a_eq = np.zeros((rows, cols))
-    b_eq = np.zeros(rows)
-    a_eq[:f, :f] = np.eye(f)
-    a_eq[:f, f : f + k] = -b_free.T
-    a_eq[:f, f + k :] = b_free.T
-    if zero:
-        a_eq[f : f + len(zero), f : f + k] = b_zero.T
-        a_eq[f : f + len(zero), f + k :] = -b_zero.T
-    a_eq[-1, :f] = 1.0
-    b_eq[-1] = 1.0
-    x = _phase1_simplex(a_eq, b_eq)
+    a_eq = np.vstack([null_space(c), np.ones(len(free))])
+    x = _phase1_simplex(a_eq, np.eye(a_eq.shape[0])[-1])
     if x is None:
         return None
     y = np.zeros(n)
-    y[free] = x[:f]
+    y[free] = x
     return y
 
 
 def _phase1_simplex(a_eq, b_eq):
-    """Feasible point of {x >= 0 : a_eq x = b_eq} or None.
+    """Feasible point of {x >= 0 : a_eq x = b_eq}, for b_eq >= 0, or None.
 
     Full-tableau phase-1 with artificial variables, minimizing their sum under
     Bland's rule, which rules out cycling: the entering column is the first
     reduced cost below -1e-11; the leaving row has the minimum ratio among
     the rows whose pivot entry is above 1e-11, ties within 1e-12 of that
-    minimum going to the lowest basis index.
+    minimum going to the lowest basis index.  The system counts as feasible
+    when the phase-1 objective is at most 1e-9.
     """
+    a = np.asarray(a_eq, dtype=float)
     b = np.asarray(b_eq, dtype=float)
-    sign = np.where(b < 0, -1.0, 1.0)  # flip the rows with b < 0
-    a = np.asarray(a_eq, dtype=float) * sign[:, None]
-    b = b * sign
     m, n = a.shape
     maxiter = 1000 + 50 * (m + n)
     # tableau: [A | I | b] with phase-1 cost row beneath

@@ -118,20 +118,21 @@ def certify_affine_sparse(
             "the affine normal space is trivial", diagnostics=diag,
         )
     support = set(int(j) for j in vector_sets.support_indices(xbar))
-    # nonpositive branch: nonzero y >= 0 in the row space vanishing on the
-    # support of xbar
-    point = lp_cone_point(v, zero_coords=support)
-    if point is not None:
-        witness = _vec_witness(v, xbar, s, point)
-        return RegularityCertificate(
-            "not_regular", witness, "lp",
-            "the affine normal space contains a nonnegative direction "
-            "complementary to xbar", diagnostics=diag,
-        )
     free = sorted(set(range(m)) - support)
     # the normal directions vanishing on the support: the space both branches search
     comp_basis = null_intersection_basis(v, free)
     diag["complementary_dim"] = comp_basis.shape[0]
+    # nonpositive branch: a nonzero y >= 0 among them, found by the LP on
+    # their restriction to the free coordinates
+    point = lp_cone_point(Subspace(len(free), comp_basis[:, free]))
+    if point is not None:
+        y = np.zeros(m)
+        y[free] = point
+        return RegularityCertificate(
+            "not_regular", _vec_witness(v, xbar, s, y), "lp",
+            "the affine normal space contains a nonnegative direction "
+            "complementary to xbar", diagnostics=diag,
+        )
     # sparsity branch: nonzero row-space vector supported on m - s
     # coordinates away from the support
     need = m - s

@@ -10,6 +10,7 @@ numpy/BLAS build and BLAS thread count.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -179,7 +180,15 @@ class SolveTrace:
     step_norms: np.ndarray
     times_ms: np.ndarray
     status: str  # "converged" | "maxiter" | "stalled"
-    rate: Optional[RateEstimate] = None
+
+    @functools.cached_property
+    def rate(self) -> Optional[RateEstimate]:
+        """:func:`estimate_rate` of this trace, fitted when first read;
+        ``None`` when the trace has too few step norms for the fit."""
+        try:
+            return estimate_rate(self)
+        except ValueError:
+            return None
 
     @property
     def iterations(self) -> int:
@@ -242,13 +251,6 @@ def estimate_rate(trace: SolveTrace) -> RateEstimate:
         r2 = 1.0 - ss_res / ss_tot
     rho = float(np.exp(slope))
     return RateEstimate(rho=min(rho, 1.0), r2=float(r2))
-
-
-def _attach_rate(trace: SolveTrace) -> None:
-    try:
-        trace.rate = estimate_rate(trace)
-    except ValueError:
-        trace.rate = None
 
 
 def _norm(v) -> float:
@@ -321,15 +323,13 @@ def _iterate(method: str, c1: ConstraintSet, c2: ConstraintSet, x0,
     else:
         # cap reached without break; shadow of the final iterate
         shadow = c1.project(x)
-    trace = SolveTrace(
+    return shadow, SolveTrace(
         method=method,
         residuals=np.asarray(residuals),
         step_norms=np.asarray(steps),
         times_ms=np.asarray(times),
         status=status,
     )
-    _attach_rate(trace)
-    return shadow, trace
 
 
 def solve_dr(c1: ConstraintSet, c2: ConstraintSet, x0, cfg: SolveConfig | None = None):

@@ -284,18 +284,6 @@ class TestZeroTolEnv:
         proc = subprocess.run([sys.executable, "-c", code], env=env)
         assert proc.returncode == 0
 
-    def test_set_zero_tol_validates(self):
-        from sparsecones import config
-
-        old = config.zero_tol()
-        try:
-            with pytest.raises(ValueError):
-                config.set_zero_tol(-1.0)
-            config.set_zero_tol(1e-9)
-            assert config.zero_tol() == 1e-9
-        finally:
-            config.set_zero_tol(old)
-
 
 class TestEdmWorkflow:
     def test_generate_complete_certify(self, tmp_path):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsecones import linalg
@@ -275,6 +275,13 @@ class TestLpCone:
                  min_size=1, max_size=m),
         st.sets(st.integers(0, m - 1), max_size=m - 1),
     )))
+    # the standard form's edge cases: every coordinate zero; no direction
+    # vanishing on the zero coordinates; directions spanning every free
+    # coordinate, so that the LP has the sum row alone
+    @example(([[1, 0], [0, 1]], {0, 1}))
+    @example(([[1, 2, 3]], {0}))
+    @example(([[1, 0, 0], [0, 1, 0]], {2}))
+    @example(([[1, -1], [1, 1]], set()))
     def test_point_matches_external_lp(self, case):
         rows, zero = case
         v = linalg.Subspace.span(np.array(rows, dtype=float))
@@ -287,11 +294,17 @@ class TestLpCone:
             assert np.max(np.abs(y[sorted(zero)]), initial=0.0) <= 1e-9
 
     def test_against_external_lp(self, rng):
-        # cross-check the hand-rolled simplex against an independent solver
-        for trial in range(150):
-            m = int(rng.integers(2, 7))
+        # cross-check the hand-rolled simplex against an independent solver:
+        # Gaussian rows with m <= 6, then rows of small integers with m <= 24,
+        # whose ties and degenerate pivots Gaussian rows almost never give
+        for trial in range(300):
+            integer = trial >= 150
+            m = int(rng.integers(2, 25 if integer else 7))
             k = int(rng.integers(1, m + 1))
-            basis_raw = rng.standard_normal((k, m))
+            if integer:
+                basis_raw = rng.integers(-2, 3, (k, m)).astype(float)
+            else:
+                basis_raw = rng.standard_normal((k, m))
             n_zero = int(rng.integers(0, m))
             zero = set(map(int, rng.choice(m, size=n_zero, replace=False)))
             v = linalg.Subspace.span(basis_raw)

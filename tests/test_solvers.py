@@ -288,6 +288,18 @@ class TestEstimateRate:
         est = estimate_rate(tr)
         assert est.rho <= 1.0
 
+    def test_fitted_only_when_read(self, monkeypatch, rng):
+        calls = []
+        monkeypatch.setattr(
+            solvers, "estimate_rate", lambda tr: calls.append(tr) or estimate_rate(tr)
+        )
+        c1 = AffineSet([[0.0, 1.0]], [0.0])
+        c2 = AffineSet([[-0.5, 1.0]], [0.0])
+        _, tr = solve_dr(c1, c2, rng.standard_normal(2))
+        assert calls == []
+        assert tr.rate is not None and tr.rate == estimate_rate(tr)
+        assert tr.rate is tr.rate and calls == [tr]
+
 
 class TestConstraintSets:
     def test_projection_idempotence(self, rng):
